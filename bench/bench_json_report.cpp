@@ -1,18 +1,22 @@
 // Machine-readable perf tracker for the acceptance-gated hot paths.
 //
 // Emits BENCH_perf_micro.json (path overridable via argv[1]) with the
-// GEMM throughput, the per-antenna IF-synthesis time, and the batched-FFT
+// GEMM throughput, the IF-synthesis times (per frame without noise, and
+// per antenna for a whole noisy activity), and the batched-FFT
 // DSP pipeline figures (BM_RangeFft / BM_DraiFrame / BM_DraiSequence32)
 // so the perf trajectory is comparable across PRs without parsing
 // google-benchmark console output. The DSP sequence entry also carries
 // the speedup over a retained scalar per-transform reference (the pre-
 // engine implementation). Numbers are best-of-N wall time on the current
-// MMHAR_THREADS setting.
+// MMHAR_THREADS setting; the host block records the CPU, compiler and
+// SIMD level the numbers were measured with.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include "common/env.h"
@@ -20,6 +24,8 @@
 #include "common/thread_pool.h"
 #include "dsp/heatmap.h"
 #include "har/generator.h"
+#include "radar/scene.h"
+#include "radar/simulator.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -38,6 +44,34 @@ double best_seconds(int reps, Fn&& fn) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size())
+      return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
+// The widest vector ISA this binary was compiled for (the IF-synthesis
+// and GEMM kernels vectorize to it).
+const char* simd_level() {
+#if defined(__AVX512F__)
+  return "avx512f";
+#elif defined(__AVX2__) && defined(__FMA__)
+  return "avx2+fma";
+#elif defined(__AVX2__)
+  return "avx2";
+#elif defined(__SSE2__)
+  return "sse2";
+#else
+  return "scalar";
+#endif
 }
 
 std::vector<dsp::RadarCube> paper_frames(std::size_t count) {
@@ -129,11 +163,26 @@ int main(int argc, char** argv) {
   const double gflops = 2.0 * static_cast<double>(n) * static_cast<double>(n) *
                         static_cast<double>(n) / gemm_s / 1e9;
 
-  // IF synthesis: full activity (BM_IfSynthesisPerAntenna configuration),
-  // normalized per virtual antenna.
+  // IF synthesis alone: synthesize() on one frame's body plus hallway
+  // scatterers, the set simulate_sequence hands it per frame (no AWGN).
   har::GeneratorConfig gc;
   gc.environment = radar::EnvironmentKind::Hallway;
   const har::SampleGenerator gen(gc);
+  const radar::Simulator sim(gc.radar);
+  const auto meshes = gen.build_world_meshes(har::SampleSpec{}, nullptr);
+  const double frame_dt =
+      gc.activity_duration_s / static_cast<double>(gc.num_frames);
+  auto frame_scatterers =
+      sim.extract_scatterers(meshes[0], &meshes[1], frame_dt);
+  const auto env = sim.extract_scatterers(
+      radar::build_environment(gc.environment), nullptr, 0.0);
+  frame_scatterers.insert(frame_scatterers.end(), env.begin(), env.end());
+  dsp::RadarCube frame = sim.synthesize(frame_scatterers);  // warm-up
+  const double synth_frame_s = best_seconds(
+      50, [&] { frame = sim.synthesize(frame_scatterers); });
+
+  // IF synthesis: full activity with noise (BM_IfSynthesisPerAntenna
+  // configuration), normalized per virtual antenna.
   auto cubes = gen.generate_cubes(har::SampleSpec{});  // warm-up
   const double synth_s = best_seconds(5, [&] {
     cubes = gen.generate_cubes(har::SampleSpec{});
@@ -184,7 +233,11 @@ int main(int argc, char** argv) {
                "  \"threads\": %ld,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"pool_threads\": %zu,\n"
+               "  \"host\": {\"cpu\": \"%s\", \"compiler\": \"%s\", "
+               "\"simd\": \"%s\"},\n"
                "  \"BM_Gemm/256\": {\"seconds\": %.6e, \"gflops\": %.3f},\n"
+               "  \"BM_IfSynthesizeFrame\": {\"seconds\": %.6e, "
+               "\"scatterers\": %zu},\n"
                "  \"BM_IfSynthesisPerAntenna\": {\"s_per_antenna\": %.6e},\n"
                "  \"BM_RangeFft\": {\"seconds\": %.6e},\n"
                "  \"BM_DraiFrame\": {\"seconds\": %.6e},\n"
@@ -193,15 +246,16 @@ int main(int argc, char** argv) {
                "}\n",
                env_int("MMHAR_THREADS", 0),
                std::thread::hardware_concurrency(), global_pool().size(),
-               gemm_s, gflops,
-               s_per_antenna, range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
-               seq_speedup);
+               cpu_model().c_str(), __VERSION__, simd_level(), gemm_s, gflops,
+               synth_frame_s, frame_scatterers.size(), s_per_antenna,
+               range_fft_s, drai_frame_s, seq_s, seq_scalar_s, seq_speedup);
   std::fclose(f);
   std::printf(
-      "gemm256: %.3f GFLOP/s   if-synthesis: %.6f s/antenna\n"
+      "gemm256: %.3f GFLOP/s   synthesize: %.6f s/frame (%zu scatterers)   "
+      "if-synthesis: %.6f s/antenna\n"
       "range_fft: %.6f s   drai_frame: %.6f s   drai_seq32: %.6f s "
       "(scalar %.6f s, %.1fx) -> %s\n",
-      gflops, s_per_antenna, range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
-      seq_speedup, out_path);
+      gflops, synth_frame_s, frame_scatterers.size(), s_per_antenna,
+      range_fft_s, drai_frame_s, seq_s, seq_scalar_s, seq_speedup, out_path);
   return 0;
 }

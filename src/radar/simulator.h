@@ -14,17 +14,22 @@
 // between consecutive frames.
 //
 // Per-triangle contributions factorize as rank-1 phasor products over
-// (antenna, chirp, sample). The synthesis kernel is structure-of-arrays:
-// per (scatterer, antenna) the sample phasor exp(i dphi_n n) is tabulated
-// once with a multi-lane rotation recurrence (re-seeded from a
-// double-precision anchor every few thousand samples to bound float
-// drift), then every chirp row is a branch-free rank-1 complex update
-// against split real/imag planes. Antennas are distributed over the
-// thread pool inside a single frame, and frames of a sequence are
-// distributed over it as well (nested calls run inline); outputs are
-// bit-identical for any MMHAR_THREADS. Visibility = back-face culling
-// toward the radar plus an optional coarse spherical-sector occlusion
-// test.
+// (antenna, chirp, sample). The synthesis kernel is register-tiled:
+// the Doppler rotation and TX range of each scatterer are computed once;
+// per antenna, the sample phasor rows exp(i dphi_n n) (a multi-lane float
+// rotation recurrence, re-seeded from a double-precision anchor every few
+// thousand samples to bound drift) and the float chirp bases of all
+// scatterers are tabulated, with the double-precision seed and chirp
+// recurrences of 8 scatterers advancing together, one per SIMD lane. Each
+// 4-chirp x 16-sample output tile then sums every scatterer, in the given
+// order, in registers and is written to the cube once. Every output
+// element sees the float operations of a per-scatterer rank-1 row update
+// in scatterer order, so the result depends only on that order. Antennas
+// are distributed over the thread pool inside a single frame, and frames
+// of a sequence are distributed over it as well (nested calls run
+// inline); outputs are bit-identical for any MMHAR_THREADS. Visibility =
+// back-face culling toward the radar plus an optional coarse
+// spherical-sector occlusion test.
 #pragma once
 
 #include <cstddef>
