@@ -9,7 +9,11 @@
 // the speedup over a retained scalar per-transform reference (the pre-
 // engine implementation). Numbers are best-of-N wall time on the current
 // MMHAR_THREADS setting; the host block records the CPU, compiler and
-// SIMD level the numbers were measured with.
+// SIMD level the numbers were measured with. BM_TrainStep and
+// BM_ShapSample time the two neural-network stages of an attack point at
+// its model shape (conv 6/12 channels, 48 features, 48 LSTM units): one
+// warmed training step plus Adam at batch 8, and one sample's SHAP frame
+// scores at 12 antithetic pairs.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -24,11 +28,15 @@
 #include "common/thread_pool.h"
 #include "dsp/heatmap.h"
 #include "har/generator.h"
+#include "har/model.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
 #include "radar/scene.h"
 #include "radar/simulator.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "xai/frame_importance.h"
 
 namespace {
 
@@ -222,6 +230,36 @@ int main(int argc, char** argv) {
   }
   const double seq_speedup = seq_scalar_s / seq_s;
 
+  // CNN-LSTM at the attack-point shape: one warmed training step (forward,
+  // loss, backward, Adam) at batch 8, and one sample's SHAP scores.
+  har::HarModelConfig mc;
+  mc.conv1_channels = 6;
+  mc.conv2_channels = 12;
+  mc.feature_dim = 48;
+  mc.lstm_hidden = 48;
+  har::HarModel model(mc);
+  const Tensor train_batch = Tensor::rand_uniform(
+      {8, mc.frames, mc.height, mc.width}, rng, 0.0F, 1.0F);
+  const std::vector<std::size_t> labels{0, 1, 2, 3, 4, 5, 0, 1};
+  nn::Adam adam(1e-3F);
+  const auto params = model.parameters();
+  const auto grads = model.gradients();
+  const auto train_step = [&] {
+    model.zero_gradients();
+    const Tensor logits = model.forward(train_batch, /*training=*/true);
+    model.backward(nn::softmax_cross_entropy(logits, labels).grad_logits);
+    adam.step(params, grads);
+  };
+  train_step();  // warm-up: grows the layers' buffers
+  const double train_step_s = best_seconds(30, train_step);
+  const Tensor shap_sample = Tensor::rand_uniform(
+      {mc.frames, mc.height, mc.width}, rng, 0.0F, 1.0F);
+  xai::ShapConfig shap_cfg;  // 12 antithetic pairs
+  const double shap_s = best_seconds(5, [&] {
+    xai::FrameImportance importance(model, shap_cfg);
+    (void)importance.shap_values(shap_sample, 1);
+  });
+
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -242,20 +280,26 @@ int main(int argc, char** argv) {
                "  \"BM_RangeFft\": {\"seconds\": %.6e},\n"
                "  \"BM_DraiFrame\": {\"seconds\": %.6e},\n"
                "  \"BM_DraiSequence32\": {\"seconds\": %.6e, "
-               "\"scalar_reference_seconds\": %.6e, \"speedup\": %.2f}\n"
+               "\"scalar_reference_seconds\": %.6e, \"speedup\": %.2f},\n"
+               "  \"BM_TrainStep\": {\"seconds\": %.6e, \"batch\": 8},\n"
+               "  \"BM_ShapSample\": {\"seconds\": %.6e, "
+               "\"permutation_pairs\": %zu}\n"
                "}\n",
                env_int("MMHAR_THREADS", 0),
                std::thread::hardware_concurrency(), global_pool().size(),
                cpu_model().c_str(), __VERSION__, simd_level(), gemm_s, gflops,
                synth_frame_s, frame_scatterers.size(), s_per_antenna,
-               range_fft_s, drai_frame_s, seq_s, seq_scalar_s, seq_speedup);
+               range_fft_s, drai_frame_s, seq_s, seq_scalar_s, seq_speedup,
+               train_step_s, shap_s, shap_cfg.num_permutations);
   std::fclose(f);
   std::printf(
       "gemm256: %.3f GFLOP/s   synthesize: %.6f s/frame (%zu scatterers)   "
       "if-synthesis: %.6f s/antenna\n"
       "range_fft: %.6f s   drai_frame: %.6f s   drai_seq32: %.6f s "
-      "(scalar %.6f s, %.1fx) -> %s\n",
+      "(scalar %.6f s, %.1fx)\n"
+      "train_step: %.6f s   shap_sample: %.6f s -> %s\n",
       gflops, synth_frame_s, frame_scatterers.size(), s_per_antenna,
-      range_fft_s, drai_frame_s, seq_s, seq_scalar_s, seq_speedup, out_path);
+      range_fft_s, drai_frame_s, seq_s, seq_scalar_s, seq_speedup,
+      train_step_s, shap_s, out_path);
   return 0;
 }

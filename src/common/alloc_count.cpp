@@ -11,9 +11,11 @@ namespace {
 // performed the allocations (or after joining), so no ordering is needed
 // beyond the increments themselves being atomic.
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
   // The one place raw malloc is legitimate: this IS the allocator.
   void* p = std::malloc(size);  // mmhar-lint: allow(naked-alloc)
@@ -23,6 +25,7 @@ void* counted_alloc(std::size_t size) {
 
 void* counted_alloc_aligned(std::size_t size, std::size_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = align;
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
@@ -35,6 +38,10 @@ void* counted_alloc_aligned(std::size_t size, std::size_t align) {
 
 std::uint64_t alloc_count() {
   return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+std::uint64_t alloc_bytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace mmhar

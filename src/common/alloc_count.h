@@ -2,8 +2,8 @@
 //
 // Linking the `mmhar_alloc_count` OBJECT library replaces the global
 // operator new family with forwarding versions that bump a process-wide
-// counter. Tests snapshot alloc_count() around a steady-state code path
-// and assert the delta is zero — the enforcement teeth behind the
+// counter (and a byte total). Tests snapshot alloc_count() around a
+// steady-state code path and assert the delta is zero — the enforcement teeth behind the
 // serving layer's "zero heap allocations per frame" contract.
 //
 // It is an OBJECT library on purpose: inside a static archive the
@@ -22,5 +22,9 @@ namespace mmhar {
 /// process. Monotonic; only meaningful as a delta across a code region on
 /// one thread of interest (other live threads also count).
 std::uint64_t alloc_count();
+
+/// Bytes requested from those invocations so far. Same delta semantics as
+/// alloc_count(); frees are not subtracted.
+std::uint64_t alloc_bytes();
 
 }  // namespace mmhar

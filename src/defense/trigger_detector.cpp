@@ -91,7 +91,7 @@ void TriggerDetector::train(const har::Dataset& clean,
       net_.zero_gradients();
       const Tensor logits = net_.forward(batch, /*training=*/true);
       const auto loss = nn::softmax_cross_entropy(logits, labels);
-      net_.backward(loss.grad_logits);
+      net_.backward_params(loss.grad_logits);
       nn::clip_gradient_norm(grads, 5.0F);
       optimizer.step(params, grads);
       loss_sum += loss.loss;

@@ -62,6 +62,11 @@ class Dataset {
 
 /// Collection grid (positions / participants / repetitions).
 struct DatasetConfig {
+  // Defined out of line: an inline default constructor lets GCC 12 at
+  // -march=native raise a false -Wmaybe-uninitialized where these vector
+  // initializers are inlined into callers.
+  DatasetConfig();
+
   std::vector<int> participants{0, 1, 2};
   std::vector<double> distances_m{0.8, 1.2, 1.6, 2.0};
   std::vector<double> angles_deg{-30.0, 0.0, 30.0};

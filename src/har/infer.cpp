@@ -89,6 +89,13 @@ void conv_relu(const PackedA& wpack, const float* bias, std::size_t channels,
   }
 }
 
+// Grow-once scratch: a forward at a warmed batch size takes the size
+// check, never the resize.
+void grow(std::vector<float>& v, std::size_t need) {
+  // mmhar-rtcheck: allow(alloc) — grow-once scratch, see above.
+  if (v.size() < need) v.resize(need);
+}
+
 std::vector<float> copy_bias(const Tensor& t) {
   const std::span<const float> flat = t.flat();
   return std::vector<float>(flat.begin(), flat.end());
@@ -154,16 +161,17 @@ void InferenceScratch::reserve(const InferencePlan& plan,
   const std::size_t fan2 = cfg.conv1_channels * kConv2Kernel * kConv2Kernel;
   const std::size_t o1 = plan.h1 * plan.w1;
   const std::size_t o2 = plan.h2 * plan.w2;
-  const auto grow = [](std::vector<float>& v, std::size_t need) {
-    // mmhar-rtcheck: allow(alloc) — grow-once scratch; a forward at a
-    // warmed batch size takes the size check, never the resize.
-    if (v.size() < need) v.resize(need);
-  };
   grow(col, std::max(fan1 * o1, fan2 * o2));
   grow(act1, n * cfg.conv1_channels * o1);
   grow(act2, n * cfg.conv2_channels * o2);
   grow(pooled, n * plan.spatial);
   grow(feats, n * cfg.feature_dim);
+  reserve_classifier(plan, max_batch);
+}
+
+void InferenceScratch::reserve_classifier(const InferencePlan& plan,
+                                          std::size_t max_batch) {
+  const HarModelConfig& cfg = plan.config;
   grow(x_step, max_batch * cfg.feature_dim);
   grow(z, max_batch * 4 * cfg.lstm_hidden);
   grow(h, max_batch * cfg.lstm_hidden);
@@ -179,8 +187,6 @@ void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
   const std::size_t n = batch * cfg.frames;
   const std::size_t o2 = plan.h2 * plan.w2;
   const std::size_t f_dim = cfg.feature_dim;
-  const std::size_t h_dim = cfg.lstm_hidden;
-  const std::size_t g4 = 4 * h_dim;
 
   // Per-frame CNN over the merged batch*time axis, exactly as
   // HarModel::forward runs it.
@@ -227,8 +233,22 @@ void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
     }
   }
 
-  // LSTM over [batch, T, F]; feats is already laid out [b][t][F]. Gate
-  // math mirrors nn::LSTM::forward (in-place cell update reads the
+  // feats is already laid out [b][t][F]: the LSTM's [batch, T, F] series.
+  infer_classify_features(plan, scratch, feats, batch, logits);
+}
+
+void infer_classify_features(const InferencePlan& plan,
+                             InferenceScratch& scratch, const float* features,
+                             std::size_t batch, float* logits) {
+  MMHAR_REQUIRE(features != nullptr && logits != nullptr && batch > 0,
+                "infer_classify_features: null buffers or empty batch");
+  scratch.reserve_classifier(plan, batch);  // no-op once warmed
+  const HarModelConfig& cfg = plan.config;
+  const std::size_t f_dim = cfg.feature_dim;
+  const std::size_t h_dim = cfg.lstm_hidden;
+  const std::size_t g4 = 4 * h_dim;
+
+  // Gate math mirrors nn::LSTM::forward (in-place cell update reads the
   // previous value before overwriting it — same arithmetic).
   float* const x_step = scratch.x_step.data();
   float* const z = scratch.z.data();
@@ -239,7 +259,7 @@ void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
   const float* const lstm_b = plan.lstm_b.data();
   for (std::size_t t = 0; t < cfg.frames; ++t) {
     for (std::size_t b = 0; b < batch; ++b) {
-      const float* src = feats + (b * cfg.frames + t) * f_dim;
+      const float* src = features + (b * cfg.frames + t) * f_dim;
       std::copy(src, src + f_dim, x_step + b * f_dim);
     }
     sgemm_packed_b(batch, 1.0F, x_step, plan.lstm_wx, 0.0F, z);

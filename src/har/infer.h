@@ -1,9 +1,10 @@
 // Zero-allocation micro-batched inference for the CNN-LSTM classifier.
 //
-// HarModel::forward is built for training: every layer allocates output
-// tensors, caches activations for backward, and re-packs its weights per
-// call. The serving path cannot afford any of that, so inference is split
-// into two pieces with a strict ownership boundary:
+// HarModel::forward is built for training: every layer caches
+// activations for backward and re-packs its weights on every call (the
+// weights change each optimizer step). The serving path needs neither,
+// so inference is split into two pieces with a strict ownership
+// boundary:
 //
 //  * `InferencePlan` — immutable after build_inference_plan(): the model's
 //    weights snapshotted into pre-packed GEMM operand layouts (conv
@@ -19,7 +20,8 @@
 // orders, same gate math — so its logits are bit-identical to the
 // training model's for any micro-batch composition (no GEMM in this path
 // has a batch-size-dependent fast path; every output row's arithmetic is
-// independent of the other rows in the batch).
+// independent of the other rows in the batch). Its LSTM and head are
+// infer_classify_features, which SHAP's coalition batches also run.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +76,9 @@ struct InferenceScratch {
   /// Grow every buffer to the sizes `max_batch` samples need. Forwards of
   /// any batch <= max_batch then allocate nothing.
   void reserve(const InferencePlan& plan, std::size_t max_batch);
+
+  /// Grow only the LSTM/head buffers infer_classify_features uses.
+  void reserve_classifier(const InferencePlan& plan, std::size_t max_batch);
 };
 
 /// Micro-batched forward: input [batch, T, H, W] (flat, row-major) ->
@@ -84,5 +89,15 @@ struct InferenceScratch {
 void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
                    const float* input, std::size_t batch,
                    float* logits) MMHAR_REALTIME MMHAR_DETERMINISTIC;
+
+/// LSTM + head over an explicit feature series: features [batch, T, F]
+/// (flat, row-major) -> logits [batch, C]. Zero heap allocations once
+/// `scratch` covers `batch` (reserve_classifier). Bit-identical, row by
+/// row, to HarModel::classify_features on the weights the plan was built
+/// from, for any batch composition.
+void infer_classify_features(const InferencePlan& plan,
+                             InferenceScratch& scratch,
+                             const float* features, std::size_t batch,
+                             float* logits) MMHAR_REALTIME MMHAR_DETERMINISTIC;
 
 }  // namespace mmhar::har

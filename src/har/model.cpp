@@ -1,5 +1,6 @@
 #include "har/model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/serialize.h"
@@ -43,23 +44,23 @@ Tensor HarModel::forward(const Tensor& batch, bool training) {
   const std::size_t bt = last_batch_ * config_.frames;
 
   // Per-frame CNN over the merged batch*time axis.
-  const Tensor frames =
-      batch.reshaped({bt, 1, config_.height, config_.width});
-  const Tensor features = cnn_.forward(frames, training);
-  const Tensor series =
-      features.reshaped({last_batch_, config_.frames, config_.feature_dim});
-  const Tensor hidden = lstm_->forward(series, training);
+  frames_.resize({bt, 1, config_.height, config_.width});
+  MMHAR_CHECK(frames_.size() == batch.size());
+  std::copy(batch.data(), batch.data() + batch.size(), frames_.data());
+  series_ = cnn_.forward(frames_, training);
+  series_.reshape({last_batch_, config_.frames, config_.feature_dim});
+  const Tensor& hidden = lstm_->forward(series_, training);
   return head_->forward(hidden, training);
 }
 
 void HarModel::backward(const Tensor& grad_logits) {
   MMHAR_REQUIRE(grad_logits.rank() == 2 && grad_logits.dim(0) == last_batch_,
                 "backward before forward, or batch mismatch");
-  const Tensor grad_hidden = head_->backward(grad_logits);
-  const Tensor grad_series = lstm_->backward(grad_hidden);
-  const Tensor grad_features = grad_series.reshaped(
+  const Tensor& grad_hidden = head_->backward(grad_logits);
+  grad_features_ = lstm_->backward(grad_hidden);
+  grad_features_.reshape(
       {last_batch_ * config_.frames, config_.feature_dim});
-  cnn_.backward(grad_features);
+  cnn_.backward_params(grad_features_);
 }
 
 Tensor HarModel::frame_features(const Tensor& frames) {
@@ -67,17 +68,16 @@ Tensor HarModel::frame_features(const Tensor& frames) {
                     frames.dim(2) == config_.width,
                 "frame_features expects [N, H, W], got "
                     << frames.shape_string());
-  const std::size_t n = frames.dim(0);
-  const Tensor input =
-      frames.reshaped({n, 1, config_.height, config_.width});
-  return cnn_.forward(input, /*training=*/false);
+  frames_.resize({frames.dim(0), 1, config_.height, config_.width});
+  std::copy(frames.data(), frames.data() + frames.size(), frames_.data());
+  return cnn_.forward(frames_, /*training=*/false);
 }
 
 Tensor HarModel::classify_features(const Tensor& features) {
   MMHAR_REQUIRE(features.rank() == 3 &&
                     features.dim(2) == config_.feature_dim,
                 "classify_features expects [B, T, F]");
-  const Tensor hidden = lstm_->forward(features, /*training=*/false);
+  const Tensor& hidden = lstm_->forward(features, /*training=*/false);
   return head_->forward(hidden, /*training=*/false);
 }
 

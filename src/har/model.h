@@ -42,6 +42,7 @@ class HarModel {
   Tensor forward(const Tensor& batch, bool training);
 
   /// Backward pass from dLoss/dLogits; accumulates parameter gradients.
+  /// The gradient w.r.t. the input heatmaps is not formed.
   void backward(const Tensor& grad_logits);
 
   /// CNN feature extractor l_θ: frames [N, H, W] -> features [N, F].
@@ -87,6 +88,12 @@ class HarModel {
 
   // Forward cache for backward().
   std::size_t last_batch_ = 0;
+
+  // Grow-only reshape buffers between the CNN's [B*T, ...] and the
+  // LSTM's [B, T, ...] views.
+  Tensor frames_;         // [B*T, 1, H, W]
+  Tensor series_;         // [B, T, F]
+  Tensor grad_features_;  // [B*T, F]
 };
 
 }  // namespace mmhar::har

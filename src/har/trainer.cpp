@@ -6,6 +6,7 @@
 #include "common/artifact_store.h"
 #include "common/hash.h"
 #include "common/logging.h"
+#include "har/infer.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
@@ -253,15 +254,29 @@ std::vector<std::size_t> predict_all(HarModel& model,
                                      const Dataset& dataset) {
   std::vector<std::size_t> preds;
   preds.reserve(dataset.size());
+  if (dataset.empty()) return preds;
+  // Evaluation runs on the inference plan — bit-identical to
+  // model.forward(…, /*training=*/false) — so its batch-32 activations
+  // live in a scratch freed on return, not in the model's training
+  // buffers.
+  const InferencePlan plan = build_inference_plan(model);
+  InferenceScratch scratch;
+  const std::size_t classes = model.config().num_classes;
   constexpr std::size_t kEvalBatch = 32;
   std::vector<std::size_t> idx;  // hoisted per-batch index scratch
+  std::vector<float> logits;
   for (std::size_t start = 0; start < dataset.size(); start += kEvalBatch) {
     const std::size_t end = std::min(dataset.size(), start + kEvalBatch);
     idx.clear();
     for (std::size_t i = start; i < end; ++i) idx.push_back(i);
-    const Tensor logits =
-        model.forward(dataset.batch_of(idx), /*training=*/false);
-    const std::size_t classes = logits.dim(1);
+    const Tensor batch = dataset.batch_of(idx);
+    const HarModelConfig& mc = model.config();
+    MMHAR_REQUIRE(batch.size() ==
+                      idx.size() * mc.frames * mc.height * mc.width,
+                  "predict_all: samples do not match the model's input "
+                  "shape");
+    logits.resize(idx.size() * classes);
+    infer_forward(plan, scratch, batch.data(), idx.size(), logits.data());
     MMHAR_CHECK(logits.size() == idx.size() * classes);
     for (std::size_t b = 0; b < idx.size(); ++b) {
       const float* row = logits.data() + b * classes;

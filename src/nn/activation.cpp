@@ -4,68 +4,76 @@
 
 namespace mmhar::nn {
 
-Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
-  mask_ = Tensor(input.shape());
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] > 0.0F) {
-      mask_[i] = 1.0F;
-    } else {
-      out[i] = 0.0F;
-    }
+// Branch-free select: x for x > 0, else +0 — so -0, NaN and -inf all map
+// to +0, and the output is > 0 exactly where the input was.
+const Tensor& ReLU::forward(const Tensor& input, bool /*training*/) {
+  output_.resize(input.shape());
+  const float* in = input.data();
+  float* out = output_.data();
+  for (std::size_t i = 0; i < output_.size(); ++i) {
+    const float v = in[i];
+    out[i] = v > 0.0F ? v : 0.0F;
   }
-  return out;
+  return output_;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
-  MMHAR_REQUIRE(grad_output.same_shape(mask_), "ReLU backward shape mismatch");
-  Tensor g = grad_output;
-  g.mul_elementwise(mask_);
-  return g;
+// grad * mask with the 0/1 mask rebuilt from the output: the product is
+// formed even where the mask is 0, so a NaN or inf gradient still yields
+// NaN and a negative one -0.
+const Tensor& ReLU::backward(const Tensor& grad_output) {
+  MMHAR_REQUIRE(grad_output.same_shape(output_),
+                "ReLU backward shape mismatch");
+  grad_input_.resize(output_.shape());
+  const float* g = grad_output.data();
+  const float* out = output_.data();
+  float* gin = grad_input_.data();
+  for (std::size_t i = 0; i < grad_input_.size(); ++i)
+    gin[i] = g[i] * (out[i] > 0.0F ? 1.0F : 0.0F);
+  return grad_input_;
 }
 
-Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
+const Tensor& Tanh::forward(const Tensor& input, bool /*training*/) {
   output_ = input;
   for (auto& v : output_.flat()) v = std::tanh(v);
   return output_;
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
+const Tensor& Tanh::backward(const Tensor& grad_output) {
   MMHAR_REQUIRE(grad_output.same_shape(output_),
                 "Tanh backward shape mismatch");
-  Tensor g = grad_output;
-  for (std::size_t i = 0; i < g.size(); ++i)
-    g[i] *= 1.0F - output_[i] * output_[i];
-  return g;
+  grad_input_ = grad_output;
+  for (std::size_t i = 0; i < grad_input_.size(); ++i)
+    grad_input_[i] *= 1.0F - output_[i] * output_[i];
+  return grad_input_;
 }
 
 Dropout::Dropout(double p, Rng& rng) : p_(p), rng_(rng.fork(0xD70D)) {
   MMHAR_REQUIRE(p >= 0.0 && p < 1.0, "dropout p must be in [0, 1)");
 }
 
-Tensor Dropout::forward(const Tensor& input, bool training) {
+const Tensor& Dropout::forward(const Tensor& input, bool training) {
   last_training_ = training;
   if (!training || p_ == 0.0) return input;
-  mask_ = Tensor(input.shape());
+  mask_.resize(input.shape());
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  output_ = input;
+  for (std::size_t i = 0; i < output_.size(); ++i) {
     if (rng_.bernoulli(p_)) {
       mask_[i] = 0.0F;
-      out[i] = 0.0F;
+      output_[i] = 0.0F;
     } else {
       mask_[i] = keep_scale;
-      out[i] *= keep_scale;
+      output_[i] *= keep_scale;
     }
   }
-  return out;
+  return output_;
 }
 
-Tensor Dropout::backward(const Tensor& grad_output) {
+const Tensor& Dropout::backward(const Tensor& grad_output) {
   if (!last_training_ || p_ == 0.0) return grad_output;
-  Tensor g = grad_output;
-  g.mul_elementwise(mask_);
-  return g;
+  grad_input_ = grad_output;
+  grad_input_.mul_elementwise(mask_);
+  return grad_input_;
 }
 
 }  // namespace mmhar::nn

@@ -7,22 +7,24 @@ namespace mmhar::nn {
 
 class ReLU : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input, bool training) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;  // 1 where input > 0
+  Tensor output_;  // > 0 exactly where the input was: the backward mask
+  Tensor grad_input_;
 };
 
 class Tanh : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input, bool training) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "Tanh"; }
 
  private:
   Tensor output_;
+  Tensor grad_input_;
 };
 
 /// Inverted dropout: activations scaled by 1/(1-p) at training time so
@@ -31,14 +33,16 @@ class Dropout : public Layer {
  public:
   Dropout(double p, Rng& rng);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input, bool training) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "Dropout"; }
 
  private:
   double p_;
   Rng rng_;
   Tensor mask_;
+  Tensor output_;
+  Tensor grad_input_;
   bool last_training_ = false;
 };
 

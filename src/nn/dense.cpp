@@ -17,24 +17,25 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
   grad_bias_ = Tensor({out_});
 }
 
-Tensor Dense::forward(const Tensor& input, bool /*training*/) {
+const Tensor& Dense::forward(const Tensor& input, bool /*training*/) {
   MMHAR_REQUIRE(input.rank() == 2 && input.dim(1) == in_,
                 "Dense expects [B, " << in_ << "], got "
                                      << input.shape_string());
   input_ = input;
   const std::size_t batch = input.dim(0);
-  Tensor output({batch, out_});
+  output_.resize({batch, out_});
   // y = x * W^T
   sgemm_bt(batch, in_, out_, 1.0F, input.data(), weight_.data(), 0.0F,
-           output.data());
+           output_.data());
+  MMHAR_CHECK(output_.size() == batch * out_);
   for (std::size_t b = 0; b < batch; ++b) {
-    float* row = output.data() + b * out_;
+    float* row = output_.data() + b * out_;
     for (std::size_t o = 0; o < out_; ++o) row[o] += bias_[o];
   }
-  return output;
+  return output_;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+const Tensor& Dense::backward(const Tensor& grad_output) {
   const std::size_t batch = input_.dim(0);
   MMHAR_REQUIRE(grad_output.rank() == 2 && grad_output.dim(0) == batch &&
                     grad_output.dim(1) == out_,
@@ -48,10 +49,10 @@ Tensor Dense::backward(const Tensor& grad_output) {
     for (std::size_t o = 0; o < out_; ++o) grad_bias_[o] += row[o];
   }
   // gx = gy * W  ([B, in])
-  Tensor grad_input({batch, in_});
+  grad_input_.resize({batch, in_});
   sgemm(batch, out_, in_, 1.0F, grad_output.data(), weight_.data(), 0.0F,
-        grad_input.data());
-  return grad_input;
+        grad_input_.data());
+  return grad_input_;
 }
 
 }  // namespace mmhar::nn

@@ -11,8 +11,8 @@ class Dense : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input, bool training) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override {
     return {&grad_weight_, &grad_bias_};
@@ -30,6 +30,8 @@ class Dense : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   Tensor input_;
+  Tensor output_;
+  Tensor grad_input_;
 };
 
 }  // namespace mmhar::nn

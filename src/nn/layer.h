@@ -5,6 +5,10 @@
 //    layer instance serves one in-flight (forward, backward) pair at a
 //    time. Training is single-threaded at the layer level; parallelism
 //    lives inside the GEMM kernels.
+//  * Outputs, input gradients and caches live in grow-only buffers the
+//    layer owns; forward/backward return references to them, valid until
+//    the layer's next call. A step at a previously seen batch shape
+//    allocates no activation-sized memory.
 //  * All activations flow as batched tensors: [B, C, H, W] for image
 //    layers, [B, D] for dense layers, [B, T, D] for recurrent layers.
 //  * Parameters and their gradients are exposed as parallel lists so the
@@ -26,11 +30,18 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Compute the layer output. `training` toggles dropout-style behavior.
-  virtual Tensor forward(const Tensor& input, bool training) = 0;
+  virtual const Tensor& forward(const Tensor& input, bool training) = 0;
 
   /// Given dLoss/dOutput, accumulate parameter gradients and return
   /// dLoss/dInput. Must be preceded by a matching forward().
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  virtual const Tensor& backward(const Tensor& grad_output) = 0;
+
+  /// backward() for a layer whose input gradient nobody reads (the first
+  /// layer of a network): accumulates the parameter gradients only.
+  /// Layers with a costly input gradient override it to skip that work.
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
 
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Tensor*> parameters() { return {}; }

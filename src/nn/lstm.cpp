@@ -31,53 +31,63 @@ LSTM::LSTM(std::size_t input_dim, std::size_t hidden_dim, Rng& rng,
   grad_bias_ = Tensor({4 * hidden_dim});
 }
 
-Tensor LSTM::forward(const Tensor& input, bool /*training*/) {
-  MMHAR_REQUIRE(input.rank() == 3 && input.dim(2) == input_dim_,
+const Tensor& LSTM::forward(const Tensor& input, bool /*training*/) {
+  MMHAR_REQUIRE(input.rank() == 3 && input.dim(1) > 0 &&
+                    input.dim(2) == input_dim_,
                 "LSTM expects [B, T, " << input_dim_ << "], got "
                                        << input.shape_string());
-  input_ = input;
   const std::size_t batch = input.dim(0);
   const std::size_t steps = input.dim(1);
+  const std::size_t d_dim = input_dim_;
   const std::size_t h_dim = hidden_dim_;
   const std::size_t g4 = 4 * h_dim;
+  batch_ = batch;
+  steps_ = steps;
 
-  gates_.assign(steps, Tensor({batch, g4}));
-  cells_.assign(steps, Tensor({batch, h_dim}));
-  hiddens_.assign(steps, Tensor({batch, h_dim}));
-
-  Tensor h_prev({batch, h_dim});
-  Tensor c_prev({batch, h_dim});
-  MMHAR_CHECK(input.size() == batch * steps * input_dim_);
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    Tensor& z = gates_[t];
-    // z = x_t W_x^T + h_{t-1} W_h^T + b
-    const float* x_t = input.data() + t * input_dim_;
-    // Gather x_t rows (strided by T*D per batch element) into a buffer.
-    Tensor x_step({batch, input_dim_});
+  x_.resize(steps * batch * d_dim);
+  gates_.resize(steps * batch * g4);
+  cells_.resize(steps * batch * h_dim);
+  hiddens_.resize(steps * batch * h_dim);
+  zero_state_.assign(batch * h_dim, 0.0F);
+  MMHAR_CHECK(input.size() == batch * steps * d_dim &&
+              x_.size() == input.size());
+  // Gather the x_t rows (strided by T*D per batch element) time-major.
+  for (std::size_t t = 0; t < steps; ++t)
     for (std::size_t b = 0; b < batch; ++b) {
-      const float* src = x_t + b * steps * input_dim_;
-      std::copy(src, src + input_dim_, x_step.data() + b * input_dim_);
+      const float* src = input.data() + (b * steps + t) * d_dim;
+      std::copy(src, src + d_dim, x_.data() + (t * batch + b) * d_dim);
     }
-    sgemm_bt(batch, input_dim_, g4, 1.0F, x_step.data(), w_x_.data(), 0.0F,
-             z.data());
-    sgemm_bt(batch, h_dim, g4, 1.0F, h_prev.data(), w_h_.data(), 1.0F,
-             z.data());
-    MMHAR_CHECK(z.size() == batch * g4);
+
+  // z_t = x_t W_x^T for every step in one product — each output row's
+  // arithmetic is independent of the other rows, so this equals one
+  // product per step — then per step z_t += h_{t-1} W_h^T (run at t = 0
+  // too, on the zero state) and z_t += b.
+  pack_bt(d_dim, g4, w_x_.data(), wx_t_pack_);
+  pack_bt(h_dim, g4, w_h_.data(), wh_t_pack_);
+  sgemm_packed_b(steps * batch, 1.0F, x_.data(), wx_t_pack_, 0.0F,
+                 gates_.data());
+  for (std::size_t t = 0; t < steps; ++t) {
+    MMHAR_CHECK(gates_.size() == steps * batch * g4 &&
+                hiddens_.size() == steps * batch * h_dim &&
+                cells_.size() == hiddens_.size());
+    float* z = gates_.data() + t * batch * g4;
+    float* c = cells_.data() + t * batch * h_dim;
+    float* h = hiddens_.data() + t * batch * h_dim;
+    const float* h_prev =
+        t > 0 ? hiddens_.data() + (t - 1) * batch * h_dim : zero_state_.data();
+    const float* c_prev =
+        t > 0 ? cells_.data() + (t - 1) * batch * h_dim : zero_state_.data();
+    sgemm_packed_b(batch, 1.0F, h_prev, wh_t_pack_, 1.0F, z);
     for (std::size_t b = 0; b < batch; ++b) {
-      float* zr = z.data() + b * g4;
+      float* zr = z + b * g4;
       for (std::size_t j = 0; j < g4; ++j) zr[j] += bias_[j];
     }
     // Nonlinearities and state update.
-    Tensor& c = cells_[t];
-    Tensor& h = hiddens_[t];
-    MMHAR_CHECK(c_prev.size() == batch * h_dim && c.size() == batch * h_dim &&
-                h.size() == batch * h_dim);
     for (std::size_t b = 0; b < batch; ++b) {
-      float* zr = z.data() + b * g4;
-      const float* cp = c_prev.data() + b * h_dim;
-      float* cr = c.data() + b * h_dim;
-      float* hr = h.data() + b * h_dim;
+      float* zr = z + b * g4;
+      const float* cp = c_prev + b * h_dim;
+      float* cr = c + b * h_dim;
+      float* hr = h + b * h_dim;
       for (std::size_t j = 0; j < h_dim; ++j) {
         const float ig = sigmoidf(zr[j]);
         const float fg = sigmoidf(zr[h_dim + j]);
@@ -91,65 +101,96 @@ Tensor LSTM::forward(const Tensor& input, bool /*training*/) {
         hr[j] = og * std::tanh(cr[j]);
       }
     }
-    h_prev = h;
-    c_prev = c;
   }
 
-  if (!return_sequence_) return hiddens_.back();
-  Tensor out({batch, steps, h_dim});
-  MMHAR_CHECK(out.size() == batch * steps * h_dim && hiddens_.size() == steps);
+  MMHAR_CHECK(hiddens_.size() == steps * batch * h_dim);
+  if (!return_sequence_) {
+    output_.resize({batch, h_dim});
+    const float* last = hiddens_.data() + (steps - 1) * batch * h_dim;
+    std::copy(last, last + batch * h_dim, output_.data());
+    return output_;
+  }
+  output_.resize({batch, steps, h_dim});
+  MMHAR_CHECK(output_.size() == hiddens_.size());
   for (std::size_t t = 0; t < steps; ++t)
-    for (std::size_t b = 0; b < batch; ++b)
-      std::copy(hiddens_[t].data() + b * h_dim,
-                hiddens_[t].data() + (b + 1) * h_dim,
-                out.data() + (b * steps + t) * h_dim);
-  return out;
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float* src = hiddens_.data() + (t * batch + b) * h_dim;
+      std::copy(src, src + h_dim, output_.data() + (b * steps + t) * h_dim);
+    }
+  return output_;
 }
 
-Tensor LSTM::backward(const Tensor& grad_output) {
-  const std::size_t batch = input_.dim(0);
-  const std::size_t steps = input_.dim(1);
+namespace {
+
+// out[rows x n] = dz[rows x k] * W[k x n], bit for bit as sgemm forms it:
+// its single-row fast path for one row, else W's panels packed once per
+// backward.
+void times_weight(std::size_t rows, const float* dz, const Tensor& w,
+                  const PackedB& w_pack, float* out) {
+  if (rows == 1) {
+    sgemm(1, w.dim(0), w.dim(1), 1.0F, dz, w.data(), 0.0F, out);
+    return;
+  }
+  sgemm_packed_b(rows, 1.0F, dz, w_pack, 0.0F, out);
+}
+
+}  // namespace
+
+const Tensor& LSTM::backward(const Tensor& grad_output) {
+  const std::size_t batch = batch_;
+  const std::size_t steps = steps_;
+  const std::size_t d_dim = input_dim_;
   const std::size_t h_dim = hidden_dim_;
   const std::size_t g4 = 4 * h_dim;
+  MMHAR_REQUIRE(steps > 0 && grad_output.size() ==
+                                 batch * h_dim * (return_sequence_ ? steps : 1),
+                "LSTM backward before forward, or shape mismatch");
 
-  Tensor grad_input({batch, steps, input_dim_});
-  Tensor dh({batch, h_dim});
-  Tensor dc({batch, h_dim});
-
-  // Seed dh (and per-step additions for sequence outputs).
-  const auto grad_h_at = [&](std::size_t t, std::size_t b,
-                             std::size_t j) -> float {
-    if (return_sequence_)
-      return grad_output[(b * steps + t) * h_dim + j];
-    return t == steps - 1 ? grad_output[b * h_dim + j] : 0.0F;
-  };
-
-  Tensor dz({batch, g4});
-  Tensor x_step({batch, input_dim_});
-  Tensor dx_step({batch, input_dim_});
+  grad_input_.resize({batch, steps, d_dim});
+  dh_.assign(batch * h_dim, 0.0F);
+  dc_.assign(batch * h_dim, 0.0F);
+  dz_.resize(batch * g4);
+  dx_step_.resize(batch * d_dim);
+  if (batch > 1) {
+    pack_b(g4, d_dim, w_x_.data(), wx_pack_);
+    pack_b(g4, h_dim, w_h_.data(), wh_pack_);
+  }
+  const float* gout = grad_output.data();
 
   for (std::size_t t = steps; t-- > 0;) {
-    const Tensor& z = gates_[t];
-    const Tensor& c = cells_[t];
-    const Tensor* c_prev = t > 0 ? &cells_[t - 1] : nullptr;
-    const Tensor* h_prev = t > 0 ? &hiddens_[t - 1] : nullptr;
+    MMHAR_CHECK(gates_.size() == steps * batch * g4 &&
+                cells_.size() == steps * batch * h_dim &&
+                x_.size() == steps * batch * d_dim);
+    const float* z = gates_.data() + t * batch * g4;
+    const float* c = cells_.data() + t * batch * h_dim;
+    const float* c_prev =
+        t > 0 ? cells_.data() + (t - 1) * batch * h_dim : nullptr;
+    const float* h_prev =
+        t > 0 ? hiddens_.data() + (t - 1) * batch * h_dim : nullptr;
+    float* dz = dz_.data();
 
-    MMHAR_CHECK(z.size() == batch * g4 && c.size() == batch * h_dim);
+    MMHAR_CHECK(dh_.size() == batch * h_dim && dc_.size() == dh_.size() &&
+                dz_.size() == batch * g4);
     for (std::size_t b = 0; b < batch; ++b) {
-      const float* zr = z.data() + b * g4;
-      const float* cr = c.data() + b * h_dim;
-      float* dhr = dh.data() + b * h_dim;
-      float* dcr = dc.data() + b * h_dim;
-      float* dzr = dz.data() + b * g4;
+      const float* zr = z + b * g4;
+      const float* cr = c + b * h_dim;
+      float* dhr = dh_.data() + b * h_dim;
+      float* dcr = dc_.data() + b * h_dim;
+      float* dzr = dz + b * g4;
       for (std::size_t j = 0; j < h_dim; ++j) {
         const float ig = zr[j];
         const float fg = zr[h_dim + j];
         const float gg = zr[2 * h_dim + j];
         const float og = zr[3 * h_dim + j];
         const float tc = std::tanh(cr[j]);
-        const float dh_total = dhr[j] + grad_h_at(t, b, j);
+        // dh from the output: every step for sequence outputs, else the
+        // last step only.
+        const float gh = return_sequence_
+                             ? gout[(b * steps + t) * h_dim + j]
+                             : (t == steps - 1 ? gout[b * h_dim + j] : 0.0F);
+        const float dh_total = dhr[j] + gh;
         const float dc_total = dcr[j] + dh_total * og * (1.0F - tc * tc);
-        const float cp = c_prev != nullptr ? c_prev->at(b, j) : 0.0F;
+        const float cp = c_prev != nullptr ? c_prev[b * h_dim + j] : 0.0F;
         dzr[j] = dc_total * gg * ig * (1.0F - ig);              // d i
         dzr[h_dim + j] = dc_total * cp * fg * (1.0F - fg);      // d f
         dzr[2 * h_dim + j] = dc_total * ig * (1.0F - gg * gg);  // d g
@@ -159,38 +200,29 @@ Tensor LSTM::backward(const Tensor& grad_output) {
     }
 
     // Parameter gradients.
-    MMHAR_CHECK(input_.size() == batch * steps * input_dim_);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float* src = input_.data() + (b * steps + t) * input_dim_;
-      std::copy(src, src + input_dim_, x_step.data() + b * input_dim_);
-    }
-    sgemm_at(g4, batch, input_dim_, 1.0F, dz.data(), x_step.data(), 1.0F,
+    MMHAR_CHECK(x_.size() == steps * batch * d_dim);
+    sgemm_at(g4, batch, d_dim, 1.0F, dz, x_.data() + t * batch * d_dim, 1.0F,
              grad_w_x_.data());
     if (h_prev != nullptr) {
-      sgemm_at(g4, batch, h_dim, 1.0F, dz.data(), h_prev->data(), 1.0F,
-               grad_w_h_.data());
+      sgemm_at(g4, batch, h_dim, 1.0F, dz, h_prev, 1.0F, grad_w_h_.data());
     }
-    MMHAR_CHECK(dz.size() == batch * g4);
     for (std::size_t b = 0; b < batch; ++b) {
-      const float* dzr = dz.data() + b * g4;
+      const float* dzr = dz + b * g4;
       for (std::size_t j = 0; j < g4; ++j) grad_bias_[j] += dzr[j];
     }
 
     // Input gradient for this step.
-    sgemm(batch, g4, input_dim_, 1.0F, dz.data(), w_x_.data(), 0.0F,
-          dx_step.data());
-    MMHAR_CHECK(grad_input.size() == batch * steps * input_dim_);
+    times_weight(batch, dz, w_x_, wx_pack_, dx_step_.data());
+    MMHAR_CHECK(grad_input_.size() == batch * steps * d_dim);
     for (std::size_t b = 0; b < batch; ++b)
-      std::copy(dx_step.data() + b * input_dim_,
-                dx_step.data() + (b + 1) * input_dim_,
-                grad_input.data() + (b * steps + t) * input_dim_);
+      std::copy(dx_step_.data() + b * d_dim,
+                dx_step_.data() + (b + 1) * d_dim,
+                grad_input_.data() + (b * steps + t) * d_dim);
 
     // dh for t-1: dz * W_h.
-    if (t > 0) {
-      sgemm(batch, g4, h_dim, 1.0F, dz.data(), w_h_.data(), 0.0F, dh.data());
-    }
+    if (t > 0) times_weight(batch, dz, w_h_, wh_pack_, dh_.data());
   }
-  return grad_input;
+  return grad_input_;
 }
 
 }  // namespace mmhar::nn

@@ -8,7 +8,10 @@
 // trick that stabilizes early training.
 #pragma once
 
+#include <vector>
+
 #include "nn/layer.h"
+#include "tensor/gemm.h"
 
 namespace mmhar::nn {
 
@@ -17,8 +20,8 @@ class LSTM : public Layer {
   LSTM(std::size_t input_dim, std::size_t hidden_dim, Rng& rng,
        bool return_sequence = false);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input, bool training) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override {
     return {&w_x_, &w_h_, &bias_};
   }
@@ -42,11 +45,29 @@ class LSTM : public Layer {
   Tensor grad_w_h_;
   Tensor grad_bias_;
 
-  // Per-forward caches (indexed [t]): activations needed by BPTT.
-  Tensor input_;                 // [B, T, D]
-  std::vector<Tensor> gates_;    // each [B, 4H], post-nonlinearity
-  std::vector<Tensor> cells_;    // c_t, each [B, H]
-  std::vector<Tensor> hiddens_;  // h_t, each [B, H]
+  // Per-forward caches, time-major ([t][b][...]): activations BPTT needs.
+  std::size_t batch_ = 0;
+  std::size_t steps_ = 0;
+  std::vector<float> x_;        // x_t rows [T, B, D]
+  std::vector<float> gates_;    // [T, B, 4H], post-nonlinearity
+  std::vector<float> cells_;    // c_t [T, B, H]
+  std::vector<float> hiddens_;  // h_t [T, B, H]
+  std::vector<float> zero_state_;  // h_{-1} = c_{-1} = 0 [B, H]
+
+  // Weights packed once per call: W_x^T / W_h^T for the forward gate
+  // products, W_x / W_h for the backward dz products.
+  PackedB wx_t_pack_;
+  PackedB wh_t_pack_;
+  PackedB wx_pack_;
+  PackedB wh_pack_;
+
+  // Grow-only working buffers.
+  Tensor output_;
+  Tensor grad_input_;
+  std::vector<float> dh_;
+  std::vector<float> dc_;
+  std::vector<float> dz_;
+  std::vector<float> dx_step_;
 };
 
 }  // namespace mmhar::nn

@@ -33,25 +33,28 @@ class Sequential : public Layer {
     return *layers_[i];
   }
 
-  Tensor forward(const Tensor& input, bool training) MMHAR_DETERMINISTIC
-      override {
-    Tensor x = input;
+  const Tensor& forward(const Tensor& input,
+                        bool training) MMHAR_DETERMINISTIC override {
+    const Tensor* x = &input;
     for (auto& l : layers_) {
-      x = l->forward(x, training);
+      x = &l->forward(*x, training);
       if (finite_checks_enabled())
-        check_finite(x.flat(), l->name().c_str(), "Sequential::forward");
+        check_finite(x->flat(), l->name().c_str(), "Sequential::forward");
     }
-    return x;
+    return *x;
   }
 
-  Tensor backward(const Tensor& grad_output) MMHAR_DETERMINISTIC override {
-    Tensor g = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      g = (*it)->backward(g);
-      if (finite_checks_enabled())
-        check_finite(g.flat(), (*it)->name().c_str(), "Sequential::backward");
-    }
-    return g;
+  const Tensor& backward(const Tensor& grad_output) MMHAR_DETERMINISTIC
+      override {
+    return backward_to(grad_output, 0);
+  }
+
+  /// Back-propagates through every layer but hands the first one
+  /// backward_params(): the network input's gradient is never formed.
+  void backward_params(const Tensor& grad_output) MMHAR_DETERMINISTIC
+      override {
+    if (layers_.empty()) return;
+    layers_.front()->backward_params(backward_to(grad_output, 1));
   }
 
   std::vector<Tensor*> parameters() override {
@@ -78,6 +81,18 @@ class Sequential : public Layer {
   }
 
  private:
+  // dLoss/dInput of layer `first`, back-propagated from the last layer.
+  const Tensor& backward_to(const Tensor& grad_output, std::size_t first) {
+    const Tensor* g = &grad_output;
+    for (std::size_t i = layers_.size(); i-- > first;) {
+      g = &layers_[i]->backward(*g);
+      if (finite_checks_enabled())
+        check_finite(g->flat(), layers_[i]->name().c_str(),
+                     "Sequential::backward");
+    }
+    return *g;
+  }
+
   std::vector<LayerPtr> layers_;
 };
 

@@ -17,10 +17,10 @@ namespace {
 // handled by zero-padding the packed operands, never by branching inside
 // the FMA loop.
 constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 32;
+constexpr std::size_t kNR = kPackedPanelWidth;
 // Cache blocking: a kBlockK x kBlockN slice of B is packed once per block
 // and streamed through every row tile (<= 1 MiB, L2-resident).
-constexpr std::size_t kBlockK = 256;
+constexpr std::size_t kBlockK = kPackedBlockK;
 constexpr std::size_t kBlockN = 1024;
 // Below this many multiply-adds the threading overhead dominates.
 constexpr std::size_t kParallelThreshold = 1u << 18;
@@ -266,9 +266,8 @@ void sgemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
 
 namespace {
 
-PackedA pack_a_impl(Layout layout, std::size_t m, std::size_t k,
-                    const float* a) {
-  PackedA packed;
+void pack_a_impl(Layout layout, std::size_t m, std::size_t k, const float* a,
+                 PackedA& packed) {
   packed.m = m;
   packed.k = k;
   const std::size_t row_tiles = (m + kMR - 1) / kMR;
@@ -281,17 +280,28 @@ PackedA pack_a_impl(Layout layout, std::size_t m, std::size_t k,
     pack_a_tile(layout, a, layout == Layout::kRowMajor ? k : m, i0, mr, 0, k,
                 packed.data.data() + it * kMR * k);
   }
-  return packed;
 }
 
 }  // namespace
 
 PackedA pack_a(std::size_t m, std::size_t k, const float* a) {
-  return pack_a_impl(Layout::kRowMajor, m, k, a);
+  PackedA packed;
+  pack_a_impl(Layout::kRowMajor, m, k, a, packed);
+  return packed;
 }
 
 PackedA pack_at(std::size_t m, std::size_t k, const float* a) {
-  return pack_a_impl(Layout::kTransposed, m, k, a);
+  PackedA packed;
+  pack_a_impl(Layout::kTransposed, m, k, a, packed);
+  return packed;
+}
+
+void pack_a(std::size_t m, std::size_t k, const float* a, PackedA& out) {
+  pack_a_impl(Layout::kRowMajor, m, k, a, out);
+}
+
+void pack_at(std::size_t m, std::size_t k, const float* a, PackedA& out) {
+  pack_a_impl(Layout::kTransposed, m, k, a, out);
 }
 
 void sgemm_packed_a(const PackedA& a, std::size_t n, float alpha,
@@ -310,44 +320,76 @@ void sgemm_packed_a_serial(const PackedA& a, std::size_t n, float alpha,
                      a.data.data(), Layout::kRowMajor, b, n, c);
 }
 
+void shape_packed_b(PackedB& b, std::size_t k, std::size_t n) {
+  const std::size_t size = k * round_up(n, kNR);
+  if (b.k == k && b.n == n && b.data.size() == size) return;
+  b.k = k;
+  b.n = n;
+  b.data.assign(size, 0.0F);
+}
+
 namespace {
 
-PackedB pack_b_impl(Layout layout, std::size_t k, std::size_t n,
-                    const float* b) {
-  MMHAR_REQUIRE(k > 0 && k <= kBlockK && n > 0 && n <= kBlockN,
-                "pack_b: operand must fit one cache block (k <= "
-                    << kBlockK << ", n <= " << kBlockN << "), got k=" << k
-                    << " n=" << n);
-  PackedB packed;
-  packed.k = k;
-  packed.n = n;
-  packed.data.resize(k * round_up(n, kNR));
-  // Single (kk=0, nn=0) block: the packed image is byte-identical to what
-  // gemm_driver builds per call, so sgemm_packed_b replays the exact same
-  // microkernel inputs as sgemm/sgemm_bt.
-  pack_b_panels(layout, b, layout == Layout::kRowMajor ? n : k, 0, k, 0, n,
-                packed.data.data());
-  return packed;
+// Block (kk, nn) of a PackedB starts at kk * round_up(n, kNR) + nn * kc:
+// the k-blocks follow one another, and within one the column blocks are
+// contiguous runs of kc-deep panels (see packed_b_offset).
+void pack_b_impl(Layout layout, std::size_t k, std::size_t n, const float* b,
+                 PackedB& packed) {
+  MMHAR_REQUIRE(k > 0 && n > 0, "pack_b: empty operand");
+  shape_packed_b(packed, k, n);
+  const std::size_t npad = round_up(n, kNR);
+  for (std::size_t kk = 0; kk < k; kk += kBlockK) {
+    const std::size_t kend = std::min(k, kk + kBlockK);
+    for (std::size_t nn = 0; nn < n; nn += kBlockN) {
+      const std::size_t nend = std::min(n, nn + kBlockN);
+      MMHAR_CHECK(kk * npad + nn * (kend - kk) < packed.data.size());
+      pack_b_panels(layout, b, layout == Layout::kRowMajor ? n : k, kk, kend,
+                    nn, nend,
+                    packed.data.data() + kk * npad + nn * (kend - kk));
+    }
+  }
 }
 
 }  // namespace
 
 PackedB pack_b(std::size_t k, std::size_t n, const float* b) {
-  return pack_b_impl(Layout::kRowMajor, k, n, b);
+  PackedB packed;
+  pack_b_impl(Layout::kRowMajor, k, n, b, packed);
+  return packed;
 }
 
 PackedB pack_bt(std::size_t k, std::size_t n, const float* b) {
-  return pack_b_impl(Layout::kTransposed, k, n, b);
+  PackedB packed;
+  pack_b_impl(Layout::kTransposed, k, n, b, packed);
+  return packed;
 }
 
+void pack_b(std::size_t k, std::size_t n, const float* b, PackedB& out) {
+  pack_b_impl(Layout::kRowMajor, k, n, b, out);
+}
+
+void pack_bt(std::size_t k, std::size_t n, const float* b, PackedB& out) {
+  pack_b_impl(Layout::kTransposed, k, n, b, out);
+}
+
+// Same (kk ascending, nn ascending) block order and per-block microkernel
+// calls as gemm_driver_serial, with the packing already done.
 void sgemm_packed_b(std::size_t m, float alpha, const float* a,
                     const PackedB& b, float beta, float* c) {
   scale_rows(m, b.n, beta, c);
   if (m == 0 || b.n == 0 || b.k == 0 || alpha == 0.0F) return;
   const std::size_t row_tiles = (m + kMR - 1) / kMR;
-  MMHAR_CHECK(b.data.size() == b.k * round_up(b.n, kNR));
-  gemm_block_rows(Layout::kRowMajor, a, b.k, nullptr, m, b.k, 0, b.k, 0, b.n,
-                  b.data.data(), alpha, c, b.n, 0, row_tiles);
+  const std::size_t npad = round_up(b.n, kNR);
+  MMHAR_CHECK(b.data.size() == b.k * npad);
+  for (std::size_t kk = 0; kk < b.k; kk += kBlockK) {
+    const std::size_t kend = std::min(b.k, kk + kBlockK);
+    for (std::size_t nn = 0; nn < b.n; nn += kBlockN) {
+      const std::size_t nend = std::min(b.n, nn + kBlockN);
+      gemm_block_rows(Layout::kRowMajor, a, b.k, nullptr, m, b.k, kk, kend,
+                      nn, nend, b.data.data() + kk * npad + nn * (kend - kk),
+                      alpha, c, b.n, 0, row_tiles);
+    }
+  }
 }
 
 }  // namespace mmhar

@@ -8,10 +8,11 @@
 namespace mmhar {
 namespace {
 
-std::size_t product(const std::vector<std::size_t>& shape) {
+template <typename Shape>
+std::size_t product(const Shape& shape) {
   std::size_t n = 1;
   for (const auto d : shape) n *= d;
-  return shape.empty() ? 0 : n;
+  return shape.size() == 0 ? 0 : n;
 }
 
 }  // namespace
@@ -94,6 +95,28 @@ Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) const {
   t.shape_ = std::move(new_shape);
   t.data_ = data_;
   return t;
+}
+
+void Tensor::reshape(std::initializer_list<std::size_t> new_shape) {
+  MMHAR_REQUIRE(product(new_shape) == size(),
+                "reshape " << shape_string() << " to incompatible size");
+  shape_.assign(new_shape);
+}
+
+void Tensor::reshape(const std::vector<std::size_t>& new_shape) {
+  MMHAR_REQUIRE(product(new_shape) == size(),
+                "reshape " << shape_string() << " to incompatible size");
+  shape_.assign(new_shape.begin(), new_shape.end());
+}
+
+void Tensor::resize(std::initializer_list<std::size_t> shape) {
+  shape_.assign(shape);
+  data_.resize(product(shape_));
+}
+
+void Tensor::resize(const std::vector<std::size_t>& shape) {
+  shape_.assign(shape.begin(), shape.end());
+  data_.resize(product(shape_));
 }
 
 void Tensor::fill(float value) {

@@ -80,6 +80,18 @@ class Tensor {
   /// Reinterpret with a new shape of identical element count.
   Tensor reshaped(std::vector<std::size_t> new_shape) const;
 
+  /// Reinterpret in place (no copy) with a new shape of identical element
+  /// count.
+  void reshape(std::initializer_list<std::size_t> new_shape);
+  void reshape(const std::vector<std::size_t>& new_shape);
+
+  /// Re-shape a working tensor in place, reusing its buffer: storage only
+  /// grows, so a layer that resizes its output to a previously seen shape
+  /// allocates nothing. Element values are unspecified afterwards —
+  /// callers overwrite every element or zero() first.
+  void resize(std::initializer_list<std::size_t> shape);
+  void resize(const std::vector<std::size_t>& shape);
+
   /// In-place fill.
   void fill(float value);
   /// Set all entries to zero (keeps shape).

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "har/infer.h"
 #include "tensor/ops.h"
 
 namespace mmhar::xai {
@@ -26,19 +27,33 @@ std::vector<double> FrameImportance::shap_values(const Tensor& sample,
   if (config_.baseline == ShapBaseline::MeanFrame)
     baseline = mean_rows(features);
 
-  const ValueFunction value = [&](const std::vector<bool>& mask) {
-    Tensor series({1, frames, feat});
-    MMHAR_CHECK(features.size() == frames * feat && baseline.size() == feat);
-    for (std::size_t t = 0; t < frames; ++t) {
-      const float* src = mask[t] ? features.data() + t * feat
-                                 : baseline.data();
-      std::copy(src, src + feat, series.data() + t * feat);
-    }
-    const Tensor logits = model_.classify_features(series);
-    if (!config_.use_probability)
-      return static_cast<double>(logits[target_class]);
-    const Tensor probs = softmax(logits.reshaped({mc.num_classes}));
-    return static_cast<double>(probs[target_class]);
+  // Each antithetic pair's coalitions run as one batch through the
+  // inference LSTM + head (bit-identical per row to
+  // HarModel::classify_features), so scratch stays bounded by one pair.
+  const har::InferencePlan plan = har::build_inference_plan(model_);
+  har::InferenceScratch scratch;
+  std::vector<float> series;
+  Tensor logits;
+  const BatchValueFunction value = [&](std::span<const std::uint8_t> masks,
+                                       std::span<double> values) {
+    const std::size_t rows = values.size();
+    series.resize(rows * frames * feat);
+    MMHAR_CHECK(masks.size() == rows * frames &&
+                features.size() == frames * feat && baseline.size() == feat);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t t = 0; t < frames; ++t) {
+        const float* src = masks[r * frames + t] != 0
+                               ? features.data() + t * feat
+                               : baseline.data();
+        std::copy(src, src + feat, series.data() + (r * frames + t) * feat);
+      }
+    logits.resize({rows, mc.num_classes});
+    har::infer_classify_features(plan, scratch, series.data(), rows,
+                                 logits.data());
+    const Tensor out =
+        config_.use_probability ? softmax_rows(logits) : logits;
+    for (std::size_t r = 0; r < rows; ++r)
+      values[r] = static_cast<double>(out.at(r, target_class));
   };
 
   return sampling_shapley(frames, value, config_.num_permutations, rng_);

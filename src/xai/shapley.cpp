@@ -57,7 +57,7 @@ std::vector<double> exact_shapley(std::size_t num_players,
 }
 
 std::vector<double> sampling_shapley(std::size_t num_players,
-                                     const ValueFunction& value,
+                                     const BatchValueFunction& value,
                                      std::size_t num_permutations, Rng& rng) {
   MMHAR_REQUIRE(num_players >= 1, "need at least one player");
   MMHAR_REQUIRE(num_permutations >= 1, "need at least one permutation");
@@ -66,25 +66,41 @@ std::vector<double> sampling_shapley(std::size_t num_players,
   std::vector<std::size_t> perm(num_players);
   for (std::size_t i = 0; i < num_players; ++i) perm[i] = i;
 
-  std::vector<bool> mask(num_players);
-  const auto accumulate_permutation = [&](const std::vector<std::size_t>& p) {
-    std::fill(mask.begin(), mask.end(), false);
-    double prev = value(mask);
-    for (const std::size_t player : p) {
-      mask[player] = true;
-      const double cur = value(mask);
-      phi[player] += cur - prev;
-      prev = cur;
+  // One antithetic pair: rows [0, M] grow the coalition along the
+  // permutation from empty to full, rows [M + 1, 2M + 1] along its
+  // reverse.
+  const std::size_t rows_per_order = num_players + 1;
+  std::vector<std::uint8_t> masks(2 * rows_per_order * num_players);
+  std::vector<double> values(2 * rows_per_order);
+  const auto fill_order = [&](std::size_t order, auto player_at) {
+    MMHAR_CHECK(order < 2);
+    std::uint8_t* row = masks.data() + order * rows_per_order * num_players;
+    std::fill(row, row + num_players, std::uint8_t{0});
+    for (std::size_t i = 0; i < num_players; ++i) {
+      std::copy(row, row + num_players, row + num_players);
+      row += num_players;
+      row[player_at(i)] = 1;
     }
   };
+  const auto accumulate_order = [&](std::size_t order, auto player_at) {
+    MMHAR_CHECK(order < 2);
+    const double* v = values.data() + order * rows_per_order;
+    for (std::size_t i = 0; i < num_players; ++i)
+      phi[player_at(i)] += v[i + 1] - v[i];
+  };
+  const auto forward = [&](std::size_t i) { return perm[i]; };
+  const auto reverse = [&](std::size_t i) {
+    return perm[num_players - 1 - i];
+  };
 
-  std::vector<std::size_t> rev(num_players);  // reused across permutations
   for (std::size_t n = 0; n < num_permutations; ++n) {
     rng.shuffle(perm);
-    accumulate_permutation(perm);
+    fill_order(0, forward);
     // Antithetic pair: the reversed permutation (variance reduction).
-    std::copy(perm.rbegin(), perm.rend(), rev.begin());
-    accumulate_permutation(rev);
+    fill_order(1, reverse);
+    value(masks, values);
+    accumulate_order(0, forward);
+    accumulate_order(1, reverse);
   }
 
   const double inv = 1.0 / (2.0 * static_cast<double>(num_permutations));
@@ -92,6 +108,21 @@ std::vector<double> sampling_shapley(std::size_t num_players,
   check_finite(std::span<const double>(phi), "shapley-phi",
                "sampling_shapley");
   return phi;
+}
+
+std::vector<double> sampling_shapley(std::size_t num_players,
+                                     const ValueFunction& value,
+                                     std::size_t num_permutations, Rng& rng) {
+  std::vector<bool> mask(num_players);
+  const BatchValueFunction batched = [&](std::span<const std::uint8_t> masks,
+                                         std::span<double> values) {
+    for (std::size_t r = 0; r < values.size(); ++r) {
+      for (std::size_t i = 0; i < num_players; ++i)
+        mask[i] = masks[r * num_players + i] != 0;
+      values[r] = value(mask);
+    }
+  };
+  return sampling_shapley(num_players, batched, num_permutations, rng);
 }
 
 std::vector<std::size_t> top_k_by_magnitude(const std::vector<double>& values,

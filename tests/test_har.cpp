@@ -2,10 +2,12 @@
 // determinism, dataset construction/caching, trainer, and metrics.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "har/dataset.h"
 #include "har/generator.h"
+#include "har/infer.h"
 #include "har/metrics.h"
 #include "har/model.h"
 #include "har/trainer.h"
@@ -79,6 +81,64 @@ TEST(HarModel, FrameFeaturesFeedClassifyFeatures) {
   const Tensor full = model.forward(sample.reshaped({1, 8, 16, 16}), false);
   for (std::size_t c = 0; c < 6; ++c)
     EXPECT_NEAR(full[c], logits[c], 1e-5F);
+}
+
+// SHAP runs its coalition batches through infer_classify_features; every
+// row must carry the bits HarModel::classify_features gives it, alone or
+// in any batch.
+TEST(InferencePlan, ClassifyFeaturesMatchesHarModel) {
+  HarModelConfig mc;
+  mc.conv1_channels = 6;
+  mc.conv2_channels = 12;
+  mc.feature_dim = 48;
+  mc.lstm_hidden = 48;
+  HarModel model(mc);
+  const InferencePlan plan = build_inference_plan(model);
+  InferenceScratch scratch;
+  Rng rng(31);
+  const std::size_t row = mc.frames * mc.feature_dim;
+  for (const std::size_t batch : {1u, 7u, 66u}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const Tensor series = Tensor::rand_uniform(
+        {batch, mc.frames, mc.feature_dim}, rng, 0.0F, 2.0F);
+    std::vector<float> logits(batch * mc.num_classes);
+    infer_classify_features(plan, scratch, series.data(), batch,
+                            logits.data());
+    const Tensor want = model.classify_features(series);
+    ASSERT_EQ(want.size(), logits.size());
+    EXPECT_EQ(std::memcmp(want.data(), logits.data(),
+                          logits.size() * sizeof(float)),
+              0);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const Tensor one(
+          {1, mc.frames, mc.feature_dim},
+          std::vector<float>(series.data() + b * row,
+                             series.data() + (b + 1) * row));
+      const Tensor single = model.classify_features(one);
+      EXPECT_EQ(std::memcmp(single.data(),
+                            logits.data() + b * mc.num_classes,
+                            mc.num_classes * sizeof(float)),
+                0)
+          << "row " << b;
+    }
+  }
+}
+
+TEST(Trainer, PredictAllMatchesForwardArgmax) {
+  HarModel model(tiny_model_config());
+  Dataset ds;
+  ds.set_num_classes(6);
+  Rng rng(17);
+  for (std::size_t i = 0; i < 37; ++i) {  // one full batch of 32 + a tail
+    Sample s;
+    s.heatmaps = Tensor::rand_uniform({8, 16, 16}, rng, 0.0F, 1.0F);
+    s.label = i % 6;
+    ds.add(std::move(s));
+  }
+  const std::vector<std::size_t> preds = predict_all(model, ds);
+  ASSERT_EQ(preds.size(), ds.size());
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    EXPECT_EQ(preds[i], model.predict(ds.sample(i).heatmaps)) << i;
 }
 
 TEST(HarModel, PredictProbabilitiesSumToOne) {

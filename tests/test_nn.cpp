@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
+#include "common/alloc_count.h"
+#include "har/model.h"
 #include "nn/activation.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
@@ -13,6 +17,7 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
+#include "tensor/gemm.h"
 
 namespace mmhar::nn {
 namespace {
@@ -89,6 +94,200 @@ TEST(Conv2D, IdentityKernelReproducesInput) {
   const Tensor x = Tensor::randn({1, 1, 5, 5}, rng);
   const Tensor y = conv.forward(x, false);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-6F);
+}
+
+// ---- Oracle: the per-image im2col conv paths ----
+//
+// Conv2D packs its weight-gradient operand straight from the input image
+// and skips the input gradient on request. The reference below is the
+// per-image formulation it replaced — forward im2col + prepacked-A GEMM,
+// backward im2col + sgemm_bt for dW and W^T GEMM + col2im for dX — and
+// every result must match it to the bit.
+
+struct RefConv {
+  std::size_t cin, cout, kernel, stride, pad;
+
+  std::size_t out_size(std::size_t in) const {
+    return (in + 2 * pad - kernel) / stride + 1;
+  }
+
+  void im2col(const float* img, std::size_t h, std::size_t w,
+              float* col) const {
+    const std::size_t oh = out_size(h);
+    const std::size_t ow = out_size(w);
+    std::size_t row = 0;
+    for (std::size_t c = 0; c < cin; ++c)
+      for (std::size_t ky = 0; ky < kernel; ++ky)
+        for (std::size_t kx = 0; kx < kernel; ++kx, ++row)
+          for (std::size_t oy = 0; oy < oh; ++oy)
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+              const auto iy = static_cast<std::ptrdiff_t>(oy * stride + ky) -
+                              static_cast<std::ptrdiff_t>(pad);
+              const auto ix = static_cast<std::ptrdiff_t>(ox * stride + kx) -
+                              static_cast<std::ptrdiff_t>(pad);
+              const bool inside =
+                  iy >= 0 && iy < static_cast<std::ptrdiff_t>(h) && ix >= 0 &&
+                  ix < static_cast<std::ptrdiff_t>(w);
+              col[row * oh * ow + oy * ow + ox] =
+                  inside ? img[c * h * w + static_cast<std::size_t>(iy) * w +
+                               static_cast<std::size_t>(ix)]
+                         : 0.0F;
+            }
+  }
+
+  void col2im(const float* col, std::size_t h, std::size_t w,
+              float* img) const {
+    const std::size_t oh = out_size(h);
+    const std::size_t ow = out_size(w);
+    std::size_t row = 0;
+    for (std::size_t c = 0; c < cin; ++c)
+      for (std::size_t ky = 0; ky < kernel; ++ky)
+        for (std::size_t kx = 0; kx < kernel; ++kx, ++row)
+          for (std::size_t oy = 0; oy < oh; ++oy)
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+              const auto iy = static_cast<std::ptrdiff_t>(oy * stride + ky) -
+                              static_cast<std::ptrdiff_t>(pad);
+              const auto ix = static_cast<std::ptrdiff_t>(ox * stride + kx) -
+                              static_cast<std::ptrdiff_t>(pad);
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h) || ix < 0 ||
+                  ix >= static_cast<std::ptrdiff_t>(w))
+                continue;
+              img[c * h * w + static_cast<std::size_t>(iy) * w +
+                  static_cast<std::size_t>(ix)] +=
+                  col[row * oh * ow + oy * ow + ox];
+            }
+  }
+
+  Tensor forward(const Tensor& weight, const Tensor& bias,
+                 const Tensor& x) const {
+    const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+    const std::size_t ocells = out_size(h) * out_size(w);
+    const std::size_t fan_in = cin * kernel * kernel;
+    Tensor y({batch, cout, out_size(h), out_size(w)});
+    std::vector<float> col(fan_in * ocells);
+    const PackedA wpack = pack_a(cout, fan_in, weight.data());
+    for (std::size_t b = 0; b < batch; ++b) {
+      im2col(x.data() + b * cin * h * w, h, w, col.data());
+      float* out = y.data() + b * cout * ocells;
+      sgemm_packed_a(wpack, ocells, 1.0F, col.data(), 0.0F, out);
+      for (std::size_t oc = 0; oc < cout; ++oc)
+        for (std::size_t i = 0; i < ocells; ++i)
+          out[oc * ocells + i] += bias[oc];
+    }
+    return y;
+  }
+
+  void backward(const Tensor& weight, const Tensor& x, const Tensor& gy,
+                Tensor& gw, Tensor& gb, Tensor& gx) const {
+    const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+    const std::size_t ocells = out_size(h) * out_size(w);
+    const std::size_t fan_in = cin * kernel * kernel;
+    gx = Tensor(x.shape());
+    std::vector<float> col(fan_in * ocells);
+    std::vector<float> gcol(fan_in * ocells);
+    const PackedA wtpack = pack_at(fan_in, cout, weight.data());
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float* gout = gy.data() + b * cout * ocells;
+      for (std::size_t oc = 0; oc < cout; ++oc) {
+        float acc = 0.0F;
+        for (std::size_t i = 0; i < ocells; ++i) acc += gout[oc * ocells + i];
+        gb[oc] += acc;
+      }
+      im2col(x.data() + b * cin * h * w, h, w, col.data());
+      sgemm_bt(cout, ocells, fan_in, 1.0F, gout, col.data(), 1.0F, gw.data());
+      sgemm_packed_a(wtpack, ocells, 1.0F, gout, 0.0F, gcol.data());
+      col2im(gcol.data(), h, w, gx.data() + b * cin * h * w);
+    }
+  }
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Conv2D, MatchesPerImageIm2colReference) {
+  constexpr std::size_t kOut = 5;  // not a multiple of the 4-row tile
+  std::size_t cases = 0;
+  for (const std::size_t cin : {1u, 3u, 6u})
+    for (const std::size_t kernel : {1u, 3u, 5u})
+      for (const std::size_t stride : {1u, 2u})
+        for (const std::size_t pad : {0u, 1u, 2u}) {
+          SCOPED_TRACE("cin=" + std::to_string(cin) + " k=" +
+                       std::to_string(kernel) + " s=" +
+                       std::to_string(stride) + " p=" + std::to_string(pad));
+          Rng rng(1000 + cases);
+          Conv2D conv(cin, kOut, kernel, stride, pad, rng);
+          const RefConv ref{cin, kOut, kernel, stride, pad};
+          const Tensor& weight = *conv.parameters()[0];
+          Tensor& bias = *conv.parameters()[1];
+          bias = Tensor::randn({kOut}, rng);
+          // Batch 7 then 1 on the same layer: grown, then shrunk, buffers.
+          for (const std::size_t batch : {7u, 1u}) {
+            const Tensor x = Tensor::randn({batch, cin, 12, 20}, rng);
+            const Tensor& y = conv.forward(x, true);
+            ASSERT_TRUE(same_bits(y, ref.forward(weight, bias, x)));
+            const Tensor gy = Tensor::randn(y.shape(), rng);
+
+            Tensor gw({kOut, cin * kernel * kernel});
+            Tensor gb({kOut});
+            Tensor gx;
+            ref.backward(weight, x, gy, gw, gb, gx);
+
+            conv.zero_gradients();
+            const Tensor& gin = conv.backward(gy);
+            EXPECT_TRUE(same_bits(gin, gx));
+            EXPECT_TRUE(same_bits(*conv.gradients()[0], gw));
+            EXPECT_TRUE(same_bits(*conv.gradients()[1], gb));
+
+            // Parameter gradients alone, and accumulated over two calls.
+            conv.zero_gradients();
+            conv.backward_params(gy);
+            EXPECT_TRUE(same_bits(*conv.gradients()[0], gw));
+            EXPECT_TRUE(same_bits(*conv.gradients()[1], gb));
+            ref.backward(weight, x, gy, gw, gb, gx);
+            conv.backward_params(gy);
+            EXPECT_TRUE(same_bits(*conv.gradients()[0], gw));
+            EXPECT_TRUE(same_bits(*conv.gradients()[1], gb));
+          }
+          ++cases;
+        }
+  EXPECT_EQ(cases, 54u);
+}
+
+TEST(ReLU, MatchesMaskLoopOnSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials{0.0F,    -0.0F,   nan,     -nan,
+                                    inf,     -inf,    denorm,  -denorm,
+                                    1e-39F,  -1e-39F, 1.5F,    -2.5F,
+                                    3e38F,   -3e38F,  1e-45F,  -1e-45F};
+  const std::size_t n = specials.size();
+  // Every (input, upstream gradient) pair of special values.
+  Tensor x({n * n});
+  Tensor g({n * n});
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      x[i * n + j] = specials[i];
+      g[i * n + j] = specials[j];
+    }
+  // The replaced loop: copy, then zero where !(x > 0) and record a mask.
+  Tensor want_y = x;
+  Tensor mask(x.shape());
+  for (std::size_t i = 0; i < want_y.size(); ++i) {
+    if (want_y[i] > 0.0F) {
+      mask[i] = 1.0F;
+    } else {
+      want_y[i] = 0.0F;
+    }
+  }
+  Tensor want_g = g;
+  want_g.mul_elementwise(mask);
+
+  ReLU relu;
+  EXPECT_TRUE(same_bits(relu.forward(x, true), want_y));
+  EXPECT_TRUE(same_bits(relu.backward(g), want_g));
 }
 
 TEST(MaxPool2D, ForwardAndRouting) {
@@ -307,6 +506,33 @@ TEST(Training, TwoLayerNetLearnsXor) {
   }
   const Tensor logits = net.forward(x, false);
   EXPECT_FLOAT_EQ(accuracy(logits, y), 1.0F);
+}
+
+// A warmed training step of the attack-point model reuses every
+// activation, cache and gradient buffer: what it still allocates (shape
+// vectors, the returned logits) stays far below one activation tensor.
+TEST(Training, WarmedStepAllocationBudget) {
+  har::HarModelConfig mc;
+  mc.conv1_channels = 6;
+  mc.conv2_channels = 12;
+  mc.feature_dim = 48;
+  mc.lstm_hidden = 48;
+  har::HarModel model(mc);
+  Rng rng(21);
+  const Tensor batch = Tensor::rand_uniform(
+      {8, mc.frames, mc.height, mc.width}, rng, 0.0F, 1.0F);
+  const Tensor grad = Tensor::full({8, mc.num_classes}, 1.0F / 8.0F);
+  const auto step = [&] {
+    model.zero_gradients();
+    (void)model.forward(batch, /*training=*/true);
+    model.backward(grad);
+  };
+  step();
+  step();
+  const std::uint64_t before = alloc_bytes();
+  step();
+  const std::uint64_t bytes = alloc_bytes() - before;
+  EXPECT_LT(bytes, 1u << 20) << bytes << " bytes allocated by a warmed step";
 }
 
 }  // namespace

@@ -159,6 +159,49 @@ TEST(GemmMicrokernel, PrepackedAMatchesSgemmBitwise) {
   }
 }
 
+// PackedB holds every k-block of the operand (shapes here cross k = 256
+// and n = 1024), so a pre-packed product replays the driver's blocks.
+TEST(GemmMicrokernel, PrepackedBMatchesDriverBitwise) {
+  Rng rng(105);
+  PackedB reused;  // repacked in place across shapes
+  for (const auto& s : kShapes) {
+    const auto a = random_vec(s.m * s.k, rng);
+    const auto b = random_vec(s.k * s.n, rng);
+    std::vector<float> bt_store(s.n * s.k);
+    for (std::size_t p = 0; p < s.k; ++p)
+      for (std::size_t j = 0; j < s.n; ++j)
+        bt_store[j * s.k + p] = b[p * s.n + j];
+    auto c_seed = random_vec(s.m * s.n, rng);
+
+    // beta = 1 accumulation against sgemm_bt, for every m.
+    std::vector<float> c_bt = c_seed;
+    std::vector<float> c_pb = c_seed;
+    sgemm_bt(s.m, s.k, s.n, 0.75F, a.data(), bt_store.data(), 1.0F,
+             c_bt.data());
+    pack_bt(s.k, s.n, bt_store.data(), reused);
+    sgemm_packed_b(s.m, 0.75F, a.data(), reused, 1.0F, c_pb.data());
+    EXPECT_EQ(c_bt, c_pb) << s.m << "x" << s.k << "x" << s.n;
+
+    // Row-major packing against sgemm (whose m == 1 path differs).
+    const PackedB packed = pack_b(s.k, s.n, b.data());
+    if (s.m > 1) {
+      std::vector<float> c_plain(s.m * s.n, 0.0F);
+      std::vector<float> c_packed(s.m * s.n, 0.0F);
+      sgemm(s.m, s.k, s.n, 1.0F, a.data(), b.data(), 0.0F, c_plain.data());
+      sgemm_packed_b(s.m, 1.0F, a.data(), packed, 0.0F, c_packed.data());
+      EXPECT_EQ(c_plain, c_packed) << s.m << "x" << s.k << "x" << s.n;
+    }
+
+    // Writing every element through packed_b_offset builds the same image.
+    PackedB by_offset;
+    shape_packed_b(by_offset, s.k, s.n);
+    for (std::size_t p = 0; p < s.k; ++p)
+      for (std::size_t j = 0; j < s.n; ++j)
+        by_offset.data[packed_b_offset(by_offset, p, j)] = b[p * s.n + j];
+    EXPECT_EQ(by_offset.data, packed.data);
+  }
+}
+
 TEST(Determinism, GemmBitIdenticalAcrossPoolSizes) {
   Rng rng(105);
   // Big enough to clear the parallel threshold (m*n*k >= 2^18).

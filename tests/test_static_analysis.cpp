@@ -385,8 +385,10 @@ TEST(DetcheckRealTree, RootsFilePinsEveryPaperInvariant) {
   const char* const kRequired[] = {
       "deterministic dsp::compute_drai_sequence",
       "deterministic har::infer_forward",
+      "deterministic har::infer_classify_features",
       "deterministic Sequential::forward",
       "deterministic Sequential::backward",
+      "deterministic Sequential::backward_params",
       "deterministic radar::Simulator::synthesize",
       "deterministic radar::Simulator::simulate_sequence",
       "deterministic har::train_model",

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "tensor/ops.h"
+
 #include "har/model.h"
 #include "har/trainer.h"
 #include "xai/frame_importance.h"
@@ -123,6 +125,73 @@ TEST(SamplingShapley, DeterministicGivenSeed) {
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(pa[i], pb[i]);
 }
 
+// The per-coalition estimator the batched one replaced: one value() call
+// per coalition, marginal gains summed as the permutation is walked.
+std::vector<double> per_coalition_shapley(std::size_t players,
+                                          const ValueFunction& value,
+                                          std::size_t permutations, Rng& rng) {
+  std::vector<double> phi(players, 0.0);
+  std::vector<std::size_t> perm(players);
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::vector<bool> mask(players);
+  const auto walk = [&](const std::vector<std::size_t>& p) {
+    std::fill(mask.begin(), mask.end(), false);
+    double prev = value(mask);
+    for (const std::size_t player : p) {
+      mask[player] = true;
+      const double cur = value(mask);
+      phi[player] += cur - prev;
+      prev = cur;
+    }
+  };
+  std::vector<std::size_t> rev(players);
+  for (std::size_t n = 0; n < permutations; ++n) {
+    rng.shuffle(perm);
+    walk(perm);
+    std::copy(perm.rbegin(), perm.rend(), rev.begin());
+    walk(rev);
+  }
+  const double inv = 1.0 / (2.0 * static_cast<double>(permutations));
+  for (auto& p : phi) p *= inv;
+  return phi;
+}
+
+TEST(SamplingShapley, BatchedMatchesPerCoalition) {
+  for (const std::size_t players : {1u, 5u, 32u})
+    for (const std::size_t perms : {1u, 12u}) {
+      SCOPED_TRACE(std::to_string(players) + " players, " +
+                   std::to_string(perms) + " pairs");
+      // Non-additive, order-sensitive game so every coalition's value
+      // differs and rounding depends on the summation order.
+      const auto game = [players](const auto& present) {
+        double v = 0.0;
+        for (std::size_t i = 0; i < players; ++i)
+          if (present(i)) v += std::sin(0.37 * static_cast<double>(i) + v);
+        return v * v + 0.1 * v;
+      };
+      const ValueFunction scalar = [&](const std::vector<bool>& mask) {
+        return game([&](std::size_t i) { return mask[i]; });
+      };
+      std::size_t batches = 0;
+      const BatchValueFunction batched =
+          [&](std::span<const std::uint8_t> masks, std::span<double> values) {
+            ASSERT_EQ(values.size(), 2 * (players + 1));
+            ++batches;
+            for (std::size_t r = 0; r < values.size(); ++r)
+              values[r] = game([&](std::size_t i) {
+                return masks[r * players + i] != 0;
+              });
+          };
+      Rng ref_rng(5);
+      Rng batch_rng(5);
+      Rng adapter_rng(5);
+      const auto want = per_coalition_shapley(players, scalar, perms, ref_rng);
+      EXPECT_EQ(sampling_shapley(players, batched, perms, batch_rng), want);
+      EXPECT_EQ(sampling_shapley(players, scalar, perms, adapter_rng), want);
+      EXPECT_EQ(batches, perms);
+    }
+}
+
 TEST(TopK, SortsByMagnitudeDescending) {
   const std::vector<double> values{0.1, -0.9, 0.5, -0.2, 0.0};
   const auto top = top_k_by_magnitude(values, 3);
@@ -172,6 +241,45 @@ TEST(FrameImportance, ShapValuesSumToPredictionDelta) {
   const double delta = prob_of(full_logits, 0) - prob_of(empty_logits, 0);
   const double total = std::accumulate(phi.begin(), phi.end(), 0.0);
   EXPECT_NEAR(total, delta, 1e-4);
+}
+
+// FrameImportance batches each antithetic pair through the inference
+// plan; its values must equal the per-coalition HarModel path bit for bit.
+TEST(FrameImportance, BatchedMatchesPerCallClassifyFeatures) {
+  har::HarModel model(tiny_model_config());
+  Rng rng(12);
+  const Tensor sample = Tensor::rand_uniform({8, 16, 16}, rng, 0.0F, 1.0F);
+  for (const bool use_probability : {true, false})
+    for (const ShapBaseline baseline :
+         {ShapBaseline::MeanFrame, ShapBaseline::Zero}) {
+      ShapConfig cfg;
+      cfg.num_permutations = 5;
+      cfg.use_probability = use_probability;
+      cfg.baseline = baseline;
+      const std::size_t target = 2;
+
+      const Tensor features = model.frame_features(sample);
+      const Tensor base = baseline == ShapBaseline::MeanFrame
+                              ? mean_rows(features)
+                              : Tensor({16});
+      const ValueFunction per_call = [&](const std::vector<bool>& mask) {
+        Tensor series({1, 8, 16});
+        for (std::size_t t = 0; t < 8; ++t) {
+          const float* src =
+              mask[t] ? features.data() + t * 16 : base.data();
+          std::copy(src, src + 16, series.data() + t * 16);
+        }
+        const Tensor logits = model.classify_features(series);
+        if (!use_probability) return static_cast<double>(logits[target]);
+        return static_cast<double>(softmax(logits.reshaped({6}))[target]);
+      };
+      Rng ref_rng(cfg.seed);
+      const auto want =
+          per_coalition_shapley(8, per_call, cfg.num_permutations, ref_rng);
+
+      FrameImportance importance(model, cfg);
+      EXPECT_EQ(importance.shap_values(sample, target), want);
+    }
 }
 
 TEST(FrameImportance, IdentifiesTheDecisiveFrame) {
