@@ -66,14 +66,11 @@ int main() {
   Rng rng(1);
   const dsp::RadarCube cube = sim.synthesize(targets, &rng);
 
-  // One Range-FFT pass, three views: DRAI, RDI, and the range profile are
-  // all derived from the same RangeSpectra instead of re-running the FFT
-  // chain per heatmap.
+  // Three views of the same frame: range profile, DRAI, and RDI.
   dsp::HeatmapConfig hm;
   hm.remove_clutter = false;
-  dsp::RangeSpectra spectra = dsp::range_fft(cube, hm);
 
-  const Tensor profile = dsp::range_profile(spectra);
+  const Tensor profile = dsp::range_profile(cube, hm);
   std::printf("\nrange profile (one bar per range bin):\n  ");
   const float pmax = profile.max() > 0 ? profile.max() : 1.0F;
   for (std::size_t r = 0; r < profile.size(); ++r) {
@@ -84,15 +81,14 @@ int main() {
   }
   std::putchar('\n');
 
-  print_heatmap(dsp::compute_drai(spectra, hm),
+  print_heatmap(dsp::compute_drai(cube, hm),
                 "\nDRAI (range down, angle across), clutter kept:");
-  print_heatmap(dsp::compute_rdi(spectra, hm),
+  print_heatmap(dsp::compute_rdi(cube, hm),
                 "\nRDI (Doppler down: top=approaching, bottom=receding):");
 
-  // Clutter removal happens on the spectra, so the MTI view reuses the
-  // same Range-FFT output too.
-  dsp::remove_static_clutter(spectra);
-  print_heatmap(dsp::compute_drai(spectra, hm),
+  // MTI clutter removal subtracts each range cell's mean over chirps.
+  hm.remove_clutter = true;
+  print_heatmap(dsp::compute_drai(cube, hm),
                 "\nDRAI after MTI clutter removal (static center target "
                 "vanishes):");
 

@@ -48,6 +48,14 @@ struct FiniteScan {
   std::size_t first_bad_index = 0;  ///< first NaN/Inf (or first denormal
                                     ///< when only a storm tripped)
   bool has_nan_or_inf() const { return nan_count + inf_count > 0; }
+  /// The policy above for a scan of `n` values: any NaN/Inf, or a
+  /// denormal storm.
+  bool violates(std::size_t n) const {
+    return has_nan_or_inf() ||
+           (denormal_count >= kDenormalStormMinCount &&
+            static_cast<double>(denormal_count) >
+                kDenormalStormFraction * static_cast<double>(n));
+  }
 };
 
 namespace detail {
@@ -63,12 +71,7 @@ template <typename T>
 void check_finite_impl(const T* data, std::size_t n, const char* tensor_name,
                        const char* stage) {
   const FiniteScan scan = scan_finite(data, n);
-  if (scan.has_nan_or_inf()) finite_check_failed(scan, n, tensor_name, stage);
-  if (scan.denormal_count >= kDenormalStormMinCount &&
-      static_cast<double>(scan.denormal_count) >
-          kDenormalStormFraction * static_cast<double>(n)) {
-    finite_check_failed(scan, n, tensor_name, stage);
-  }
+  if (scan.violates(n)) finite_check_failed(scan, n, tensor_name, stage);
 }
 
 }  // namespace detail

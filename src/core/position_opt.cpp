@@ -18,17 +18,10 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
   const auto& mc = surrogate_.config();
   const std::size_t frames = mc.frames;
 
-  // Clean reference: heatmaps, per-frame features, and range profiles.
-  // generate_views reuses one Range-FFT pass per frame for both the DRAI
-  // heatmaps and the range-profile diagnostic below.
-  const har::SampleViews clean_views = generator_.generate_views(spec);
-  const Tensor& clean = clean_views.heatmaps;
+  // Clean reference: heatmaps and per-frame features.
+  const Tensor clean = generator_.generate(spec);
   MMHAR_CHECK(clean.dim(0) == frames);
   const Tensor clean_features = surrogate_.frame_features(clean);
-  std::vector<Tensor> clean_profiles;
-  clean_profiles.reserve(frames);
-  for (std::size_t t = 0; t < frames; ++t)
-    clean_profiles.push_back(dsp::range_profile(clean_views.spectra[t]));
 
   const mesh::HumanBody body(
       mesh::BodyParams::participant(spec.participant));
@@ -41,8 +34,7 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
     placement.local_position = body.anchor_position(anchor);
     placement.local_normal = body.anchor_normal(anchor);
 
-    const har::SampleViews views = generator_.generate_views(spec, &placement);
-    const Tensor& triggered = views.heatmaps;
+    const Tensor triggered = generator_.generate(spec, &placement);
     const Tensor triggered_features = surrogate_.frame_features(triggered);
 
     AnchorEvaluation e;
@@ -50,7 +42,6 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
     e.position = placement.local_position;
     e.per_frame_feature_distance.resize(frames);
     e.per_frame_heatmap_deviation.resize(frames);
-    e.per_frame_profile_shift.resize(frames);
     for (std::size_t t = 0; t < frames; ++t) {
       double fd = 0.0;
       for (std::size_t j = 0; j < mc.feature_dim; ++j) {
@@ -65,15 +56,6 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
         hd += d * d;
       }
       e.per_frame_heatmap_deviation[t] = std::sqrt(hd);
-      const Tensor profile = dsp::range_profile(views.spectra[t]);
-      const Tensor& ref = clean_profiles[t];
-      MMHAR_CHECK(profile.size() == ref.size());
-      double pd = 0.0;
-      for (std::size_t j = 0; j < profile.size(); ++j) {
-        const double d = profile[j] - ref[j];
-        pd += d * d;
-      }
-      e.per_frame_profile_shift[t] = std::sqrt(pd);
     }
     evals.push_back(std::move(e));
   }
@@ -101,18 +83,14 @@ std::vector<PositionCandidate> TriggerPositionOptimizer::evaluate_anchors(
     c.local_position = e.position;
     double fd = 0.0;
     double hd = 0.0;
-    double pd = 0.0;
     for (const std::size_t t : scored) {
       fd += e.per_frame_feature_distance[t];
       hd += e.per_frame_heatmap_deviation[t];
-      pd += e.per_frame_profile_shift[t];
     }
     fd /= static_cast<double>(scored.size());
     hd /= static_cast<double>(scored.size());
-    pd /= static_cast<double>(scored.size());
     c.feature_distance = fd;
     c.heatmap_deviation = hd;
-    c.range_profile_shift = pd;
     c.score = objective_.alpha * (fd - objective_.beta * hd);
     out.push_back(c);
   }

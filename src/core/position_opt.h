@@ -31,11 +31,6 @@ struct PositionCandidate {
   double score = 0.0;               ///< Eq. 2 objective value
   double feature_distance = 0.0;    ///< D(·,·) term (mean over frames)
   double heatmap_deviation = 0.0;   ///< L2 term (mean over frames)
-  /// Mean L2 shift of the non-coherent range profile (clean vs triggered)
-  /// — a physical-layer stealth diagnostic derived from the same range
-  /// spectra the DRAI heatmaps are built from (one Range-FFT per frame).
-  /// Reported alongside the Eq. 2 terms; not part of the score.
-  double range_profile_shift = 0.0;
 };
 
 class TriggerPositionOptimizer {
@@ -70,7 +65,6 @@ class TriggerPositionOptimizer {
     mesh::Vec3 position;
     std::vector<double> per_frame_feature_distance;
     std::vector<double> per_frame_heatmap_deviation;
-    std::vector<double> per_frame_profile_shift;
   };
 
   std::vector<AnchorEvaluation> evaluate_all(

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 
 namespace mmhar::dsp {
 namespace {
@@ -76,8 +75,8 @@ const Plan& plan_for(std::size_t n) MMHAR_REALTIME_HANDOFF {
 // Per-thread SoA scratch for the batched engine: re/im hold one lane block
 // in element-major order (re[j * kLanes + l]), acc holds the running
 // magnitude sum for the mag-accum emitter. Grown on demand, never shrunk,
-// reused across every fft_many* call on the thread — the engine performs
-// no per-call allocation.
+// reused across every fft_many_*_multi call on the thread — the engine
+// performs no per-call allocation.
 struct Workspace {
   std::vector<float> re;
   std::vector<float> im;
@@ -98,45 +97,6 @@ struct Workspace {
 Workspace& tls_workspace() {
   thread_local Workspace ws;
   return ws;
-}
-
-// Gather one lane block into bit-reversed SoA scratch, fusing the window
-// multiply and the zero-padding. Lanes [nl, kLanes) are zero-filled so the
-// butterfly loops always run the full fixed width (no garbage values, no
-// denormal stalls, branch-free inner loops).
-void load_block(const FftManyJob& job, const Plan& plan, std::size_t rep,
-                std::size_t lane0, std::size_t nl, float* re, float* im) {
-  const cfloat* base =
-      job.in + rep * job.in_rep_stride + lane0 * job.in_lane_stride;
-  for (std::size_t j = 0; j < job.n; ++j) {
-    float* r = re + plan.bit_reverse[j] * kLanes;
-    float* q = im + plan.bit_reverse[j] * kLanes;
-    if (j < job.in_len) {
-      const float w = job.window != nullptr ? job.window[j] : 1.0F;
-      const cfloat* src = base + j * job.in_elem_stride;
-      if (job.in_lane_stride == 1) {
-        for (std::size_t l = 0; l < nl; ++l) {
-          r[l] = src[l].real() * w;
-          q[l] = src[l].imag() * w;
-        }
-      } else {
-        for (std::size_t l = 0; l < nl; ++l) {
-          const cfloat v = src[l * job.in_lane_stride];
-          r[l] = v.real() * w;
-          q[l] = v.imag() * w;
-        }
-      }
-      for (std::size_t l = nl; l < kLanes; ++l) {
-        r[l] = 0.0F;
-        q[l] = 0.0F;
-      }
-    } else {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        r[l] = 0.0F;
-        q[l] = 0.0F;
-      }
-    }
-  }
 }
 
 // Radix-2 butterflies over the whole block; the twiddle is a scalar
@@ -170,17 +130,8 @@ void butterflies(const Plan& plan, std::size_t n, float* re, float* im) {
   }
 }
 
-void validate_job(const FftManyJob& job) {
-  MMHAR_REQUIRE(is_power_of_two(job.n),
-                "fft_many length must be a power of two, got " << job.n);
-  MMHAR_REQUIRE(job.in != nullptr, "fft_many: null input");
-  MMHAR_REQUIRE(job.lanes > 0 && job.reps > 0, "fft_many: empty batch");
-  MMHAR_REQUIRE(job.in_len > 0 && job.in_len <= job.n,
-                "fft_many: in_len must be in (0, n], got " << job.in_len);
-}
-
-// Prototype-job validation for the *_multi entry points: geometry rules
-// are identical but the base pointer lives in the io list, not the job.
+// Prototype-job validation: the job carries the shared geometry, the base
+// pointers live in the io list.
 void validate_proto(const FftManyJob& proto) {
   MMHAR_REQUIRE(is_power_of_two(proto.n),
                 "fft_many length must be a power of two, got " << proto.n);
@@ -192,11 +143,12 @@ void validate_proto(const FftManyJob& proto) {
                 "fft_many: in_len must be in (0, n], got " << proto.in_len);
 }
 
-// Gather one lane block whose lanes may span frame boundaries: bases[l]
+// Gather one lane block into bit-reversed SoA scratch, fusing the window
+// multiply and the zero-padding. Lanes may span frame boundaries: bases[l]
 // points at lane l's transform start for the current rep (lane and rep
-// strides already folded in). Produces exactly the values load_block
-// gathers for the same lane, so the downstream butterflies are
-// bit-identical to the single-base path.
+// strides already folded in). Lanes [nl, kLanes) are zero-filled so the
+// butterfly loops always run the full fixed width (no garbage values, no
+// denormal stalls, branch-free inner loops).
 void load_block_bases(const FftManyJob& job, const Plan& plan,
                       const cfloat* const* bases, std::size_t nl, float* re,
                       float* im) {
@@ -303,83 +255,6 @@ void fftshift_inplace(std::span<float> data) {
   for (std::size_t i = 0; i < n / 2; ++i) std::swap(data[i], data[i + n / 2]);
 }
 
-void fft_many_crop(const FftManyJob& job, std::size_t keep, cfloat* out,
-                   std::size_t out_lane_stride,
-                   std::size_t out_elem_stride) {
-  validate_job(job);
-  MMHAR_REQUIRE(job.reps == 1, "fft_many_crop: accumulation axis unsupported");
-  MMHAR_REQUIRE(keep > 0 && keep <= job.n,
-                "fft_many_crop: keep must be in (0, n]");
-  MMHAR_REQUIRE(out != nullptr, "fft_many_crop: null output");
-
-  const Plan& plan = plan_for(job.n);
-  const std::size_t blocks = (job.lanes + kLanes - 1) / kLanes;
-  // Lane blocks are fixed-size and independent, so the result does not
-  // depend on how parallel_for partitions them across threads.
-  parallel_for(0, blocks, [&](std::size_t b) {
-    Workspace& ws = tls_workspace();
-    ws.ensure(job.n, false);
-    const std::size_t lane0 = b * kLanes;
-    const std::size_t nl = std::min(kLanes, job.lanes - lane0);
-    load_block(job, plan, 0, lane0, nl, ws.re.data(), ws.im.data());
-    butterflies(plan, job.n, ws.re.data(), ws.im.data());
-    const float* re = ws.re.data();
-    const float* im = ws.im.data();
-    for (std::size_t l = 0; l < nl; ++l) {
-      cfloat* dst = out + (lane0 + l) * out_lane_stride;
-      for (std::size_t j = 0; j < keep; ++j)
-        dst[j * out_elem_stride] = cfloat(re[j * kLanes + l],
-                                          im[j * kLanes + l]);
-    }
-  });
-}
-
-void fft_many(const FftManyJob& job, cfloat* out, std::size_t out_lane_stride,
-              std::size_t out_elem_stride) {
-  fft_many_crop(job, job.n, out, out_lane_stride, out_elem_stride);
-}
-
-void fft_many_mag_accum(const FftManyJob& job, bool shift, float* out,
-                        std::size_t out_lane_stride,
-                        std::size_t out_elem_stride) {
-  validate_job(job);
-  MMHAR_REQUIRE(out != nullptr, "fft_many_mag_accum: null output");
-
-  const Plan& plan = plan_for(job.n);
-  const std::size_t blocks = (job.lanes + kLanes - 1) / kLanes;
-  parallel_for(0, blocks, [&](std::size_t b) {
-    Workspace& ws = tls_workspace();
-    ws.ensure(job.n, true);
-    const std::size_t lane0 = b * kLanes;
-    const std::size_t nl = std::min(kLanes, job.lanes - lane0);
-    float* acc = ws.acc.data();
-    const std::size_t total = job.n * kLanes;
-    // The rep axis folds serially in index order, so the accumulated sum
-    // has one fixed rounding order regardless of thread count.
-    for (std::size_t rep = 0; rep < job.reps; ++rep) {
-      load_block(job, plan, rep, lane0, nl, ws.re.data(), ws.im.data());
-      butterflies(plan, job.n, ws.re.data(), ws.im.data());
-      const float* re = ws.re.data();
-      const float* im = ws.im.data();
-      if (rep == 0) {
-        for (std::size_t i = 0; i < total; ++i)
-          acc[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]);
-      } else {
-        for (std::size_t i = 0; i < total; ++i)
-          acc[i] += std::sqrt(re[i] * re[i] + im[i] * im[i]);
-      }
-    }
-    const std::size_t half = job.n / 2;
-    for (std::size_t l = 0; l < nl; ++l) {
-      float* dst = out + (lane0 + l) * out_lane_stride;
-      for (std::size_t p = 0; p < job.n; ++p) {
-        const std::size_t bin = shift ? (p + half) % job.n : p;
-        dst[p * out_elem_stride] = acc[bin * kLanes + l];
-      }
-    }
-  });
-}
-
 void fft_many_crop_multi(const FftManyJob& proto, std::size_t keep,
                          std::span<const FftManyIo> ios,
                          std::size_t out_lane_stride,
@@ -436,9 +311,9 @@ void fft_many_mag_accum_multi(const FftManyJob& proto, bool shift,
     const std::size_t nl = std::min(kLanes, total - lane0);
     float* acc = ws.acc.data();
     const std::size_t block = proto.n * kLanes;
-    // The rep axis folds serially in index order, exactly as in
-    // fft_many_mag_accum, so every lane's sum keeps one fixed rounding
-    // order no matter how frames are batched together.
+    // The rep axis folds serially in index order, so every lane's sum
+    // keeps one fixed rounding order no matter how frames are batched
+    // together or how many threads run calls side by side.
     for (std::size_t rep = 0; rep < proto.reps; ++rep) {
       for (std::size_t l = 0; l < nl; ++l) {
         const std::size_t g = lane0 + l;

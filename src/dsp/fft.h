@@ -1,15 +1,15 @@
 // Iterative radix-2 complex FFT with cached twiddle tables, plus a batched
-// multi-transform engine (`fft_many*`) that executes N same-size transforms
-// over strided data with the SIMD lanes running *across the batch
-// dimension*.
+// multi-transform engine (`fft_many_*_multi`) that executes many same-size
+// transforms over strided data with the SIMD lanes running *across the
+// batch dimension*.
 //
 // All radar processing dimensions (ADC samples, chirps, angle padding) are
 // powers of two, so a radix-2 kernel suffices. Twiddle factors and the
 // bit-reversal permutation are computed once per size and published through
 // a read-mostly plan cache (annotated `mmhar::SharedMutex`; plans are built outside
 // the lock so concurrent first-use of two sizes never serializes). The
-// transforms themselves are lock-free and allocation-free: each worker
-// thread keeps a reusable split real/imag scratch workspace.
+// transforms themselves are lock-free and allocation-free: each thread
+// keeps a reusable split real/imag scratch workspace.
 //
 // Batched layout: a block of up to `kFftManyLanes` transforms is loaded
 // into element-major SoA scratch (`re[j * L + l]`, lane l = transform
@@ -65,14 +65,14 @@ void fftshift_inplace(std::span<float> data);
 /// accumulation axis that the magnitude emitter folds in a fixed serial
 /// order (rep 0 first), so results are bit-identical for any thread count.
 ///
-/// Element j of transform (rep, lane) is read from
-///   in[rep * in_rep_stride + lane * in_lane_stride + j * in_elem_stride]
-/// for j < in_len; elements in [in_len, n) are zero (zero-padded FFT).
-/// When `window` is non-null it has length `in_len` and is applied during
-/// the load.
+/// Element j of transform (rep, lane) of a frame is read from
+///   io.in[rep * in_rep_stride + lane * in_lane_stride + j * in_elem_stride]
+/// for j < in_len, where `io` is the frame's entry in the io list; elements
+/// in [in_len, n) are zero (zero-padded FFT). When `window` is non-null it
+/// has length `in_len` and is applied during the load.
 struct FftManyJob {
   std::size_t n = 0;            ///< transform length, power of two
-  const cfloat* in = nullptr;   ///< base of the input array
+  const cfloat* in = nullptr;   ///< unused: must stay null (see below)
   std::size_t in_len = 0;       ///< elements read per transform (<= n)
   const float* window = nullptr;  ///< optional, length in_len
   std::size_t lanes = 0;        ///< number of independent transforms
@@ -82,44 +82,21 @@ struct FftManyJob {
   std::size_t in_rep_stride = 0;
 };
 
-/// Execute the batch and store the full complex spectra:
-///   out[lane * out_lane_stride + j * out_elem_stride] = X_lane[j].
-/// Requires job.reps == 1.
-void fft_many(const FftManyJob& job, cfloat* out, std::size_t out_lane_stride,
-              std::size_t out_elem_stride);
-
-/// As fft_many but keeps only the first `keep` bins of every spectrum
-/// (the range-FFT crop). Requires job.reps == 1 and keep <= n.
-void fft_many_crop(const FftManyJob& job, std::size_t keep, cfloat* out,
-                   std::size_t out_lane_stride, std::size_t out_elem_stride);
-
-/// Execute the batch and store magnitudes summed over the rep axis:
-///   out[lane * out_lane_stride + p * out_elem_stride]
-///       = sum_{rep} |X_{rep,lane}[bin(p)]|
-/// where bin(p) = (p + n/2) mod n when `shift` is set (fftshifted output)
-/// and p otherwise. Magnitude is sqrt(re^2 + im^2) evaluated in float
-/// (vectorizable; the pipeline's dynamic range is far from float
-/// overflow). Existing `out` contents are overwritten, not added to.
-void fft_many_mag_accum(const FftManyJob& job, bool shift, float* out,
-                        std::size_t out_lane_stride,
-                        std::size_t out_elem_stride);
-
 // ---- Batch-of-batches entry points -----------------------------------------
 //
-// The streaming serving layer fuses the per-frame Range/Angle-FFT work of
-// many independent radar streams into single engine invocations: every
-// frame shares the job geometry (the *_multi prototype job, whose `in`
-// field is unused and must stay null) but has its own input and output
-// base pointer. Lanes are numbered globally across the io list — frame i
-// contributes lanes [i*lanes, (i+1)*lanes) — so SIMD blocks fill across
-// frame (and stream) boundaries instead of running ragged per-frame
-// tails. Each lane's arithmetic is unchanged from the single-base entry
-// points, so per-frame results are bit-identical to calling
-// fft_many_crop / fft_many_mag_accum once per frame.
+// Every frame of a call shares the job geometry (the prototype job, whose
+// `in` field is unused and must stay null) but has its own input and
+// output base pointer. Lanes are numbered globally across the io list —
+// frame i contributes lanes [i*lanes, (i+1)*lanes) — so SIMD blocks fill
+// across frame (and stream) boundaries instead of running ragged
+// per-frame tails. Each lane's arithmetic depends only on its own input,
+// so a frame's result is bit-identical whether it runs alone or fused
+// with any other frames.
 //
-// Unlike the single-base entry points these run entirely on the CALLING
-// thread (no pool dispatch) and are allocation-free once the thread's
-// workspace has grown — the form the zero-alloc batcher cycle requires.
+// Both entry points run entirely on the CALLING thread (no pool dispatch)
+// and are allocation-free once the thread's workspace has grown — the form
+// the zero-alloc serving cycle requires. The DRAI stages (dsp/heatmap.h)
+// are their main callers.
 
 /// One frame's (input, complex output) base pair for
 /// fft_many_crop_multi; both pointers use the prototype job's strides.
@@ -135,16 +112,26 @@ struct FftManyMagIo {
   float* out = nullptr;
 };
 
-/// As fft_many_crop, over `ios.size()` frames sharing `proto`'s geometry.
-/// Requires proto.in == nullptr and proto.reps == 1.
+/// Execute the batch over `ios.size()` frames sharing `proto`'s geometry
+/// and store the first `keep` bins of every spectrum (the range-FFT crop):
+///   ios[i].out[lane * out_lane_stride + j * out_elem_stride] = X_lane[j]
+/// for j < keep. Requires proto.in == nullptr, proto.reps == 1,
+/// keep <= proto.n and a non-empty io list.
 void fft_many_crop_multi(const FftManyJob& proto, std::size_t keep,
                          std::span<const FftManyIo> ios,
                          std::size_t out_lane_stride,
                          std::size_t out_elem_stride) MMHAR_REALTIME;
 
-/// As fft_many_mag_accum, over `ios.size()` frames sharing `proto`'s
-/// geometry (the rep axis folds serially per lane, as in the single-base
-/// form). Requires proto.in == nullptr.
+/// Execute the batch over `ios.size()` frames sharing `proto`'s geometry
+/// and store magnitudes summed over the rep axis:
+///   ios[i].out[lane * out_lane_stride + p * out_elem_stride]
+///       = sum_{rep} |X_{rep,lane}[bin(p)]|
+/// where bin(p) = (p + n/2) mod n when `shift` is set (fftshifted output)
+/// and p otherwise. The rep axis folds serially per lane, rep 0 first.
+/// Magnitude is sqrt(re^2 + im^2) evaluated in float (vectorizable; the
+/// pipeline's dynamic range is far from float overflow). Existing output
+/// contents are overwritten, not added to. Requires proto.in == nullptr
+/// and a non-empty io list.
 void fft_many_mag_accum_multi(const FftManyJob& proto, bool shift,
                               std::span<const FftManyMagIo> ios,
                               std::size_t out_lane_stride,

@@ -9,36 +9,13 @@
 #include "tensor/ops.h"
 
 namespace mmhar::dsp {
-namespace {
-
-// Angle-FFT + fftshift + |.| accumulation over chirps for one frame,
-// written straight into a [range_bins x angle_bins] row-major block. The
-// chirp axis folds serially inside the engine, so the result is
-// bit-identical for any thread count.
-void drai_accum_into(const RangeSpectra& spectra, std::size_t a_bins,
-                     float* out) {
-  MMHAR_REQUIRE(is_power_of_two(a_bins) && a_bins >= spectra.num_antennas,
-                "angle_bins must be a power of two >= num_antennas");
-  FftManyJob job;
-  job.n = a_bins;
-  job.in = spectra.data.data();
-  job.in_len = spectra.num_antennas;
-  job.lanes = spectra.range_bins;
-  job.in_lane_stride = 1;
-  job.in_elem_stride = spectra.range_bins;
-  job.reps = spectra.num_chirps;
-  job.in_rep_stride = spectra.num_antennas * spectra.range_bins;
-  fft_many_mag_accum(job, /*shift=*/true, out, a_bins, 1);
-}
-
-}  // namespace
 
 RadarCube::RadarCube(std::size_t num_chirps, std::size_t num_antennas,
                      std::size_t num_samples)
     : num_chirps_(num_chirps),
       num_antennas_(num_antennas),
       num_samples_(num_samples),
-      data_(num_chirps * num_antennas * num_samples, cfloat{0.0F, 0.0F}) {
+      data_(num_chirps * num_antennas * num_samples) {
   MMHAR_REQUIRE(num_chirps > 0 && num_antennas > 0 && num_samples > 0,
                 "RadarCube dimensions must be positive");
 }
@@ -65,66 +42,118 @@ const cfloat* RadarCube::row(std::size_t chirp, std::size_t antenna) const {
   return data_.data() + (chirp * num_antennas_ + antenna) * num_samples_;
 }
 
-void range_fft(const RadarCube& cube, const HeatmapConfig& cfg,
-               RangeSpectra& out) {
-  const std::size_t n = cube.num_samples();
-  MMHAR_REQUIRE(is_power_of_two(n), "ADC sample count must be a power of two");
-  MMHAR_REQUIRE(cfg.range_bins > 0 && cfg.range_bins <= n,
+DraiStages::DraiStages(std::size_t num_chirps, std::size_t num_antennas,
+                       std::size_t num_samples, const HeatmapConfig& cfg)
+    : num_chirps_(num_chirps),
+      num_antennas_(num_antennas),
+      range_bins_(cfg.range_bins),
+      angle_bins_(cfg.angle_bins),
+      log_scale_(cfg.log_scale),
+      normalize_(cfg.normalize),
+      db_floor_(cfg.db_floor) {
+  MMHAR_REQUIRE(num_chirps > 0 && num_antennas > 0,
+                "frame dimensions must be positive");
+  MMHAR_REQUIRE(is_power_of_two(num_samples),
+                "ADC sample count must be a power of two");
+  MMHAR_REQUIRE(range_bins_ > 0 && range_bins_ <= num_samples,
                 "range_bins must be in (0, num_samples]");
+  MMHAR_REQUIRE(is_power_of_two(angle_bins_) && angle_bins_ >= num_antennas,
+                "angle_bins must be a power of two >= num_antennas");
 
-  out.num_chirps = cube.num_chirps();
-  out.num_antennas = cube.num_antennas();
-  out.range_bins = cfg.range_bins;
-  out.data.resize(out.num_chirps * out.num_antennas * out.range_bins);
+  // Range stage: one windowed transform per (chirp, antenna) row, cropped
+  // to the leading range bins.
+  range_job_.n = num_samples;
+  range_job_.in_len = num_samples;
+  range_job_.window = cached_window(cfg.range_window, num_samples).data();
+  range_job_.lanes = num_chirps * num_antennas;
+  range_job_.in_lane_stride = num_samples;
+  range_job_.in_elem_stride = 1;
 
-  // Window multiply, FFT, and the range-bin crop run as one fused batched
-  // pass: one transform per (chirp, antenna) row.
-  FftManyJob job;
-  job.n = n;
-  job.in = cube.raw().data();
-  job.in_len = n;
-  job.window = cached_window(cfg.range_window, n).data();
-  job.lanes = out.num_chirps * out.num_antennas;
-  job.in_lane_stride = n;
-  job.in_elem_stride = 1;
-  fft_many_crop(job, cfg.range_bins, out.data.data(), cfg.range_bins, 1);
-
-  check_finite(std::span<const cfloat>(out.data), "RangeSpectra",
-               "range_fft/post-fft");
-  if (cfg.remove_clutter) {
-    remove_static_clutter(out);
-    check_finite(std::span<const cfloat>(out.data), "RangeSpectra",
-                 "range_fft/post-clutter-removal");
-  }
+  // Angle stage: one zero-padded transform across the antennas per range
+  // bin, with the chirp axis as the engine's serial accumulation axis.
+  angle_job_.n = angle_bins_;
+  angle_job_.in_len = num_antennas;
+  angle_job_.lanes = range_bins_;
+  angle_job_.in_lane_stride = 1;
+  angle_job_.in_elem_stride = range_bins_;
+  angle_job_.reps = num_chirps;
+  angle_job_.in_rep_stride = num_antennas * range_bins_;
 }
 
-RangeSpectra range_fft(const RadarCube& cube, const HeatmapConfig& cfg) {
-  RangeSpectra out;
-  range_fft(cube, cfg, out);
-  return out;
+void DraiStages::range_stage(std::span<const FftManyIo> ios) const {
+  fft_many_crop_multi(range_job_, range_bins_, ios, range_bins_, 1);
+}
+
+void DraiStages::angle_stage(std::span<const FftManyMagIo> ios) const {
+  fft_many_mag_accum_multi(angle_job_, /*shift=*/true, ios, angle_bins_, 1);
+}
+
+void DraiStages::window_tail(float* block, std::size_t frames) const {
+  const std::size_t n = frames * drai_elems();
+  if (n == 0) return;
+  if (log_scale_) {
+    for (std::size_t i = 0; i < n; ++i)
+      block[i] = 20.0F * std::log10(std::max(block[i], db_floor_));
+  }
+  if (normalize_) {
+    const float lo = *std::min_element(block, block + n);
+    const float hi = *std::max_element(block, block + n);
+    const float range = hi - lo;
+    if (range <= 0.0F) {
+      std::fill(block, block + n, 0.0F);
+    } else {
+      const float inv = 1.0F / range;
+      for (std::size_t i = 0; i < n; ++i) block[i] = (block[i] - lo) * inv;
+    }
+  }
 }
 
 namespace {
 
-// Column range [lo, hi) of the clutter-removal sweep: per-column mean over
-// chirps, then subtract. [chirp][antenna][range] layout makes every
-// (antenna, range) cell one column of a [q_total x cols] matrix, so the
-// sweeps run vectorized across contiguous columns. Columns are
-// independent, which keeps the output bit-identical for any partitioning
-// (pooled chunks or one serial call).
-void clutter_columns(cfloat* base, std::size_t cols, std::size_t q_total,
-                     float inv_q, std::size_t lo, std::size_t hi) {
+// One frame's range spectra into `out` (stages.spectra_elems() values):
+// the range stage, then clutter removal, each followed by its finite
+// tripwire.
+void frame_spectra(const DraiStages& stages, const HeatmapConfig& cfg,
+                   const RadarCube& cube, cfloat* out) {
+  const FftManyIo io{cube.raw().data(), out};
+  stages.range_stage(std::span<const FftManyIo>(&io, 1));
+  const std::span<const cfloat> spectra(out, stages.spectra_elems());
+  check_finite(spectra, "RangeSpectra", "range_fft/post-fft");
+  if (cfg.remove_clutter) {
+    remove_static_clutter_serial(out, cube.num_chirps(), cube.num_antennas(),
+                                 cfg.range_bins);
+    check_finite(spectra, "RangeSpectra", "range_fft/post-clutter-removal");
+  }
+}
+
+DraiStages stages_for(const RadarCube& cube, const HeatmapConfig& cfg) {
+  return DraiStages(cube.num_chirps(), cube.num_antennas(),
+                    cube.num_samples(), cfg);
+}
+
+}  // namespace
+
+// Per-column mean over chirps, then subtract. [chirp][antenna][range]
+// layout makes every (antenna, range) cell one column of a
+// [num_chirps x cols] matrix, so the sweeps run vectorized across
+// contiguous columns, one tile at a time.
+void remove_static_clutter_serial(cfloat* data, std::size_t num_chirps,
+                                  std::size_t num_antennas,
+                                  std::size_t range_bins) {
+  if (num_chirps < 2) return;  // nothing to average against
+  const float inv_q = 1.0F / static_cast<float>(num_chirps);
+  const std::size_t cols = num_antennas * range_bins;
   constexpr std::size_t kTile = 64;
   float mean_re[kTile];
   float mean_im[kTile];
-  for (std::size_t c0 = lo; c0 < hi; c0 += kTile) {
-    const std::size_t w = std::min(kTile, hi - c0);
+  for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+    const std::size_t w = std::min(kTile, cols - c0);
     for (std::size_t t = 0; t < w; ++t) {
       mean_re[t] = 0.0F;
       mean_im[t] = 0.0F;
     }
-    for (std::size_t q = 0; q < q_total; ++q) {
-      const cfloat* row = base + q * cols + c0;
+    for (std::size_t q = 0; q < num_chirps; ++q) {
+      const cfloat* row = data + q * cols + c0;
       for (std::size_t t = 0; t < w; ++t) {
         mean_re[t] += row[t].real();
         mean_im[t] += row[t].imag();
@@ -134,46 +163,27 @@ void clutter_columns(cfloat* base, std::size_t cols, std::size_t q_total,
       mean_re[t] *= inv_q;
       mean_im[t] *= inv_q;
     }
-    for (std::size_t q = 0; q < q_total; ++q) {
-      cfloat* row = base + q * cols + c0;
+    for (std::size_t q = 0; q < num_chirps; ++q) {
+      cfloat* row = data + q * cols + c0;
       for (std::size_t t = 0; t < w; ++t)
         row[t] -= cfloat(mean_re[t], mean_im[t]);
     }
   }
 }
 
-}  // namespace
-
-void remove_static_clutter(RangeSpectra& spectra) {
-  const std::size_t q_total = spectra.num_chirps;
-  if (q_total < 2) return;  // nothing to average against
-  const float inv_q = 1.0F / static_cast<float>(q_total);
-  const std::size_t cols = spectra.num_antennas * spectra.range_bins;
-  MMHAR_CHECK(spectra.data.size() == q_total * cols);
-  cfloat* const base = spectra.data.data();
-  global_pool().parallel_for_chunked(
-      0, cols, [base, cols, q_total, inv_q](std::size_t lo, std::size_t hi) {
-        clutter_columns(base, cols, q_total, inv_q, lo, hi);
-      });
+void range_fft(const RadarCube& cube, const HeatmapConfig& cfg,
+               RangeSpectra& out) {
+  const DraiStages stages = stages_for(cube, cfg);
+  out.num_chirps = cube.num_chirps();
+  out.num_antennas = cube.num_antennas();
+  out.range_bins = cfg.range_bins;
+  out.data.resize(stages.spectra_elems());
+  frame_spectra(stages, cfg, cube, out.data.data());
 }
 
-void remove_static_clutter_serial(cfloat* data, std::size_t num_chirps,
-                                  std::size_t num_antennas,
-                                  std::size_t range_bins) {
-  if (num_chirps < 2) return;  // nothing to average against
-  const float inv_q = 1.0F / static_cast<float>(num_chirps);
-  const std::size_t cols = num_antennas * range_bins;
-  clutter_columns(data, cols, num_chirps, inv_q, 0, cols);
-}
-
-void remove_static_clutter_serial(RangeSpectra& spectra) {
-  MMHAR_CHECK(spectra.data.size() ==
-              spectra.num_chirps * spectra.num_antennas * spectra.range_bins);
-  remove_static_clutter_serial(spectra.data.data(), spectra.num_chirps,
-                               spectra.num_antennas, spectra.range_bins);
-}
-
-Tensor compute_rdi(const RangeSpectra& spectra, const HeatmapConfig& cfg) {
+Tensor compute_rdi(const RadarCube& cube, const HeatmapConfig& cfg) {
+  RangeSpectra spectra;
+  range_fft(cube, cfg, spectra);
   const std::size_t q_total = spectra.num_chirps;
   const std::size_t d_bins = cfg.doppler_bins == 0 ? q_total : cfg.doppler_bins;
   MMHAR_REQUIRE(is_power_of_two(d_bins) && d_bins >= q_total,
@@ -184,7 +194,6 @@ Tensor compute_rdi(const RangeSpectra& spectra, const HeatmapConfig& cfg) {
   Tensor rdi({d_bins, spectra.range_bins});
   FftManyJob job;
   job.n = d_bins;
-  job.in = spectra.data.data();
   job.in_len = q_total;
   job.window = cached_window(cfg.doppler_window, q_total).data();
   job.lanes = spectra.range_bins;
@@ -192,34 +201,31 @@ Tensor compute_rdi(const RangeSpectra& spectra, const HeatmapConfig& cfg) {
   job.in_elem_stride = spectra.num_antennas * spectra.range_bins;
   job.reps = spectra.num_antennas;
   job.in_rep_stride = spectra.range_bins;
-  fft_many_mag_accum(job, /*shift=*/true, rdi.data(), 1, spectra.range_bins);
+  const FftManyMagIo io{spectra.data.data(), rdi.data()};
+  fft_many_mag_accum_multi(job, /*shift=*/true,
+                           std::span<const FftManyMagIo>(&io, 1), 1,
+                           spectra.range_bins);
 
   Tensor out = cfg.normalize ? normalize01(rdi) : std::move(rdi);
   check_finite(out.flat(), "RDI", "compute_rdi");
   return out;
 }
 
-Tensor compute_rdi(const RadarCube& cube, const HeatmapConfig& cfg) {
-  return compute_rdi(range_fft(cube, cfg), cfg);
-}
-
-Tensor compute_drai(const RangeSpectra& spectra, const HeatmapConfig& cfg) {
-  MMHAR_REQUIRE(cfg.angle_bins >= spectra.num_antennas &&
-                    is_power_of_two(cfg.angle_bins),
-                "angle_bins must be a power of two >= num_antennas");
-  Tensor drai({spectra.range_bins, cfg.angle_bins});
-  drai_accum_into(spectra, cfg.angle_bins, drai.data());
-  if (cfg.log_scale) drai = to_db(drai, cfg.db_floor);
-  Tensor out = cfg.normalize ? normalize01(drai) : std::move(drai);
-  check_finite(out.flat(), "DRAI", "compute_drai");
-  return out;
-}
-
 Tensor compute_drai(const RadarCube& cube, const HeatmapConfig& cfg) {
-  return compute_drai(range_fft(cube, cfg), cfg);
+  const DraiStages stages = stages_for(cube, cfg);
+  std::vector<cfloat> spectra(stages.spectra_elems());
+  frame_spectra(stages, cfg, cube, spectra.data());
+  Tensor drai({cfg.range_bins, cfg.angle_bins});
+  const FftManyMagIo io{spectra.data(), drai.data()};
+  stages.angle_stage(std::span<const FftManyMagIo>(&io, 1));
+  stages.window_tail(drai.data(), 1);
+  check_finite(drai.flat(), "DRAI", "compute_drai");
+  return drai;
 }
 
-Tensor range_profile(const RangeSpectra& spectra) {
+Tensor range_profile(const RadarCube& cube, const HeatmapConfig& cfg) {
+  RangeSpectra spectra;
+  range_fft(cube, cfg, spectra);
   Tensor profile({spectra.range_bins});
   const std::size_t rows = spectra.num_chirps * spectra.num_antennas;
   const std::size_t bins = spectra.range_bins;
@@ -237,82 +243,36 @@ Tensor range_profile(const RangeSpectra& spectra) {
   return profile;
 }
 
-Tensor range_profile(const RadarCube& cube, const HeatmapConfig& cfg) {
-  return range_profile(range_fft(cube, cfg));
-}
-
-std::vector<RangeSpectra> compute_range_spectra(
-    const std::vector<RadarCube>& frames, const HeatmapConfig& cfg) {
+Tensor compute_drai_sequence(const std::vector<RadarCube>& frames,
+                             const HeatmapConfig& cfg) {
   MMHAR_REQUIRE(!frames.empty(), "empty frame sequence");
-  std::vector<RangeSpectra> out(frames.size());
-  parallel_for(0, frames.size(),
-               [&](std::size_t f) { range_fft(frames[f], cfg, out[f]); });
-  return out;
-}
-
-namespace {
-
-// Shared tail of the two compute_drai_sequence overloads. `frame_fn`
-// produces (a reference to) frame f's RangeSpectra; per-frame work is
-// independent and lands in disjoint slices of `seq`, so the sequence is
-// bit-identical for any thread count.
-template <typename FrameFn>
-Tensor drai_sequence_impl(std::size_t num_frames, const HeatmapConfig& cfg,
-                          const FrameFn& frame_fn) {
-  MMHAR_REQUIRE(num_frames > 0, "empty frame sequence");
-  HeatmapConfig frame_cfg = cfg;
-  if (cfg.normalize_per_sequence) {
-    frame_cfg.normalize = false;
-    frame_cfg.log_scale = false;  // applied once over the whole sequence
-  }
-  const std::size_t hw = cfg.range_bins * cfg.angle_bins;
+  const RadarCube& first = frames.front();
+  for (const RadarCube& cube : frames)
+    MMHAR_REQUIRE(cube.num_chirps() == first.num_chirps() &&
+                      cube.num_antennas() == first.num_antennas() &&
+                      cube.num_samples() == first.num_samples(),
+                  "compute_drai_sequence: frames differ in geometry");
+  const DraiStages stages = stages_for(first, cfg);
+  const std::size_t num_frames = frames.size();
+  const std::size_t hw = stages.drai_elems();
   Tensor seq({num_frames, cfg.range_bins, cfg.angle_bins});
   MMHAR_CHECK(seq.size() == num_frames * hw);
   float* const seq_base = seq.data();
+  // Per-frame work lands in disjoint slices of `seq`, so the sequence is
+  // bit-identical for any thread count.
   global_pool().parallel_for_chunked(
       0, num_frames, [&](std::size_t lo, std::size_t hi) {
-        // One reused spectra buffer per chunk: after the first frame the
-        // Range-FFT stage runs allocation-free.
-        RangeSpectra scratch;
+        // One reused spectra buffer per chunk.
+        std::vector<cfloat> spectra(stages.spectra_elems());
         for (std::size_t f = lo; f < hi; ++f) {
-          const RangeSpectra& spectra = frame_fn(f, scratch);
-          if (frame_cfg.log_scale || frame_cfg.normalize) {
-            // Per-frame post-ops (normalize_per_sequence == false).
-            const Tensor h = compute_drai(spectra, frame_cfg);
-            MMHAR_CHECK(h.size() == hw);
-            std::copy(h.data(), h.data() + hw, seq_base + f * hw);
-          } else {
-            drai_accum_into(spectra, frame_cfg.angle_bins, seq_base + f * hw);
-          }
+          frame_spectra(stages, cfg, frames[f], spectra.data());
+          const FftManyMagIo io{spectra.data(), seq_base + f * hw};
+          stages.angle_stage(std::span<const FftManyMagIo>(&io, 1));
         }
       });
-  if (cfg.normalize_per_sequence) {
-    if (cfg.log_scale) seq = to_db(seq, cfg.db_floor);
-    if (cfg.normalize) seq = normalize01(seq);
-  }
+  stages.window_tail(seq_base, num_frames);
   check_finite(seq.flat(), "DRAI-sequence", "compute_drai_sequence");
   return seq;
-}
-
-}  // namespace
-
-Tensor compute_drai_sequence(const std::vector<RadarCube>& frames,
-                             const HeatmapConfig& cfg) {
-  return drai_sequence_impl(
-      frames.size(), cfg,
-      [&frames, &cfg](std::size_t f, RangeSpectra& scratch) -> const RangeSpectra& {
-        range_fft(frames[f], cfg, scratch);
-        return scratch;
-      });
-}
-
-Tensor compute_drai_sequence(const std::vector<RangeSpectra>& frames,
-                             const HeatmapConfig& cfg) {
-  return drai_sequence_impl(
-      frames.size(), cfg,
-      [&frames](std::size_t f, RangeSpectra&) -> const RangeSpectra& {
-        return frames[f];
-      });
 }
 
 }  // namespace mmhar::dsp

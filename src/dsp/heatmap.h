@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -61,10 +62,6 @@ struct HeatmapConfig {
   /// scatterers.
   bool log_scale = false;
   float db_floor = 1e-3F;
-  /// Sequence builders normalize over the whole activity instead of per
-  /// frame, preserving relative energy between frames (a frame with a
-  /// strong reflector stays brighter than a quiet one).
-  bool normalize_per_sequence = true;
 };
 
 /// Range spectra after windowed Range-FFT (and optional clutter removal):
@@ -84,27 +81,65 @@ struct RangeSpectra {
   }
 };
 
-/// Stage 1+2: windowed Range-FFT and (optionally) static clutter removal.
-RangeSpectra range_fft(const RadarCube& cube, const HeatmapConfig& cfg);
+/// The DRAI signal path (paper §II-A) as three stage functions, built once
+/// for one frame geometry and HeatmapConfig. Every DRAI in the repo — the
+/// offline sequence and single-frame builders and the serving cycle — runs
+/// through these functions, so offline and streaming heatmaps are the same
+/// floats. Static clutter removal sits between the range and the angle
+/// stage (remove_static_clutter_serial).
+///
+/// Buffers: a frame is a RadarCube's raw() layout [chirp][antenna][sample];
+/// its range spectra are [chirp][antenna][range_bin] (spectra_elems()
+/// values); its raw DRAI is [range_bin][angle_bin] (drai_elems() values).
+/// The stages run on the calling thread and allocate nothing.
+class DraiStages {
+ public:
+  /// Validates the geometry: num_samples and angle_bins powers of two,
+  /// range_bins in (0, num_samples], angle_bins >= num_antennas.
+  DraiStages(std::size_t num_chirps, std::size_t num_antennas,
+             std::size_t num_samples, const HeatmapConfig& cfg);
 
-/// As above, but reuses `out`'s storage (no allocation once it has grown
-/// to size) — the form the sequence builders and other hot loops use.
+  std::size_t spectra_elems() const {
+    return num_chirps_ * num_antennas_ * range_bins_;
+  }
+  std::size_t drai_elems() const { return range_bins_ * angle_bins_; }
+
+  /// Range stage: windowed Range-FFT cropped to range_bins for every frame
+  /// in `ios` (in = frame samples, out = its range spectra), in one engine
+  /// call whose SIMD lanes span the frames.
+  void range_stage(std::span<const FftManyIo> ios) const MMHAR_REALTIME;
+
+  /// Angle stage: zero-padded Angle-FFT, fftshift, and |.| summed over
+  /// chirps for every frame in `ios` (in = range spectra, out = raw DRAI).
+  void angle_stage(std::span<const FftManyMagIo> ios) const MMHAR_REALTIME;
+
+  /// Window tail, in place over `frames` consecutive raw DRAIs (a
+  /// [T, range, angle] block): dB conversion when log_scale, then min-max
+  /// normalization over the whole block when normalize.
+  void window_tail(float* block, std::size_t frames) const MMHAR_REALTIME;
+
+ private:
+  std::size_t num_chirps_;
+  std::size_t num_antennas_;
+  std::size_t range_bins_;
+  std::size_t angle_bins_;
+  bool log_scale_;
+  bool normalize_;
+  float db_floor_;
+  FftManyJob range_job_;
+  FftManyJob angle_job_;
+};
+
+/// Stage 1+2 for one frame: windowed Range-FFT and (optionally) static
+/// clutter removal. Reuses `out`'s storage (no allocation once it has
+/// grown to size).
 void range_fft(const RadarCube& cube, const HeatmapConfig& cfg,
                RangeSpectra& out);
 
-/// Subtract the across-chirp mean per (antenna, range) cell — removes
-/// returns from static objects (walls, furniture, torso at rest).
-void remove_static_clutter(RangeSpectra& spectra);
-
-/// Serial form of remove_static_clutter: runs entirely on the calling
-/// thread with no pool dispatch and no allocation. Columns are
-/// independent, so the result is bit-identical to the pooled form — the
-/// streaming batcher uses this inside its zero-alloc cycle.
-void remove_static_clutter_serial(RangeSpectra& spectra);
-
-/// Raw-pointer core of remove_static_clutter_serial over a
-/// [num_chirps x num_antennas x range_bins] block that need not live in a
-/// RangeSpectra (the serving layer's spectra arena).
+/// Subtract the across-chirp mean per (antenna, range) cell of a
+/// [num_chirps x num_antennas x range_bins] spectra block — removes returns
+/// from static objects (walls, furniture, torso at rest). Runs on the
+/// calling thread with no allocation.
 void remove_static_clutter_serial(cfloat* data, std::size_t num_chirps,
                                   std::size_t num_antennas,
                                   std::size_t range_bins) MMHAR_REALTIME;
@@ -113,44 +148,21 @@ void remove_static_clutter_serial(cfloat* data, std::size_t num_chirps,
 /// zero velocity is the center row. Magnitudes are summed over antennas.
 Tensor compute_rdi(const RadarCube& cube, const HeatmapConfig& cfg);
 
-/// Spectra-reuse form: RDI from already-computed range spectra. Running
-/// compute_rdi + compute_drai + range_profile over the same cube through
-/// one range_fft() result executes the Range-FFT once instead of three
-/// times.
-Tensor compute_rdi(const RangeSpectra& spectra, const HeatmapConfig& cfg);
-
 /// Dynamic Range-Angle Image: [range_bins x angle_bins]; angle axis is the
 /// fftshifted zero-padded FFT across the virtual ULA, magnitudes summed
-/// over chirps after clutter removal.
+/// over chirps after clutter removal. log_scale / normalize apply to the
+/// single frame.
 Tensor compute_drai(const RadarCube& cube, const HeatmapConfig& cfg);
-
-/// Spectra-reuse form of compute_drai.
-Tensor compute_drai(const RangeSpectra& spectra, const HeatmapConfig& cfg);
 
 /// Non-coherent range profile (magnitude summed over chirps and antennas).
 Tensor range_profile(const RadarCube& cube, const HeatmapConfig& cfg);
 
-/// Spectra-reuse form of range_profile.
-Tensor range_profile(const RangeSpectra& spectra);
-
-/// Stage 1+2 for a whole activity: per-frame range spectra, threaded over
-/// frames. The result can feed compute_drai_sequence and the per-frame
-/// spectra overloads without re-running any Range-FFT.
-std::vector<RangeSpectra> compute_range_spectra(
-    const std::vector<RadarCube>& frames, const HeatmapConfig& cfg);
-
-/// Process a whole activity (sequence of frames) into DRAI heatmaps:
-/// returns a [frames x range_bins x angle_bins] tensor.
+/// Process a whole activity (sequence of same-geometry frames) into DRAI
+/// heatmaps: returns a [frames x range_bins x angle_bins] tensor. Frames
+/// run in parallel; log_scale / normalize apply once over the whole
+/// sequence, preserving relative energy between frames (a frame with a
+/// strong reflector stays brighter than a quiet one).
 Tensor compute_drai_sequence(const std::vector<RadarCube>& frames,
                              const HeatmapConfig& cfg) MMHAR_DETERMINISTIC;
-
-/// Spectra-reuse form of compute_drai_sequence (frames already through the
-/// Range-FFT stage). Shares the MMHAR_DETERMINISTIC root above: detcheck
-/// unions annotations across declarations by qualified name, so both
-/// overload definitions are checked from the single annotated declaration
-/// (annotating both would give the per-site annotation-deletion property a
-/// blind spot — either site alone would keep the other covered).
-Tensor compute_drai_sequence(const std::vector<RangeSpectra>& frames,
-                             const HeatmapConfig& cfg);
 
 }  // namespace mmhar::dsp

@@ -15,7 +15,8 @@ Tensor doppler_spectrum(const RadarCube& cube,
   HeatmapConfig hm;
   hm.range_bins = std::min(config.range_bins, cube.num_samples());
   hm.remove_clutter = config.remove_clutter;
-  const RangeSpectra spectra = range_fft(cube, hm);
+  RangeSpectra spectra;
+  range_fft(cube, hm, spectra);
 
   const std::size_t q_total = spectra.num_chirps;
   const std::size_t d_bins =
@@ -33,7 +34,6 @@ Tensor doppler_spectrum(const RadarCube& cube,
   const std::size_t nr = r_hi - r_lo;
   FftManyJob job;
   job.n = d_bins;
-  job.in = spectra.data.data() + r_lo;
   job.in_len = q_total;
   job.window = cached_window(config.window, q_total).data();
   job.lanes = nr;
@@ -42,7 +42,10 @@ Tensor doppler_spectrum(const RadarCube& cube,
   job.reps = spectra.num_antennas;
   job.in_rep_stride = spectra.range_bins;
   Tensor gated({nr, d_bins});
-  fft_many_mag_accum(job, /*shift=*/true, gated.data(), d_bins, 1);
+  MMHAR_CHECK(r_hi <= spectra.range_bins);
+  const FftManyMagIo io{spectra.data.data() + r_lo, gated.data()};
+  fft_many_mag_accum_multi(job, /*shift=*/true,
+                           std::span<const FftManyMagIo>(&io, 1), d_bins, 1);
 
   Tensor spectrum({d_bins});
   for (std::size_t r = 0; r < nr; ++r)

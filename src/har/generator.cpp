@@ -41,7 +41,6 @@ void GeneratorConfig::hash_into(Hasher& h) const {
       .mix(heatmap.angle_bins)
       .mix(static_cast<int>(heatmap.remove_clutter))
       .mix(static_cast<int>(heatmap.normalize))
-      .mix(static_cast<int>(heatmap.normalize_per_sequence))
       .mix(static_cast<int>(heatmap.log_scale))
       .mix(static_cast<double>(heatmap.db_floor))
       .mix(static_cast<int>(environment))
@@ -113,15 +112,6 @@ Tensor SampleGenerator::generate(const SampleSpec& spec,
                                  const TriggerPlacement* trigger) const {
   const auto cubes = generate_cubes(spec, trigger);
   return dsp::compute_drai_sequence(cubes, config_.heatmap);
-}
-
-SampleViews SampleGenerator::generate_views(
-    const SampleSpec& spec, const TriggerPlacement* trigger) const {
-  const auto cubes = generate_cubes(spec, trigger);
-  SampleViews views;
-  views.spectra = dsp::compute_range_spectra(cubes, config_.heatmap);
-  views.heatmaps = dsp::compute_drai_sequence(views.spectra, config_.heatmap);
-  return views;
 }
 
 }  // namespace mmhar::har

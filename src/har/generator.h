@@ -59,15 +59,6 @@ struct GeneratorConfig {
   void hash_into(Hasher& h) const;
 };
 
-/// One generated sample plus the intermediate range spectra it was built
-/// from. Keeping the spectra lets callers derive more views (RDI, range
-/// profile, gated Doppler) of the same repetition without re-running the
-/// simulator or the Range-FFT stage.
-struct SampleViews {
-  Tensor heatmaps;                        ///< DRAI [T, range, angle]
-  std::vector<dsp::RangeSpectra> spectra; ///< per-frame Range-FFT output
-};
-
 class SampleGenerator {
  public:
   explicit SampleGenerator(GeneratorConfig config);
@@ -78,12 +69,6 @@ class SampleGenerator {
   /// spec, optionally with a trigger merged into the body mesh.
   Tensor generate(const SampleSpec& spec,
                   const TriggerPlacement* trigger = nullptr) const;
-
-  /// As generate(), but also returns the per-frame range spectra so the
-  /// caller can build further views (compute_rdi / range_profile) from one
-  /// Range-FFT pass. Bit-identical heatmaps to generate().
-  SampleViews generate_views(const SampleSpec& spec,
-                             const TriggerPlacement* trigger = nullptr) const;
 
   /// Generate the raw IF radar cubes instead of heatmaps (tests, RDI).
   std::vector<dsp::RadarCube> generate_cubes(

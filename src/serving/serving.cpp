@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -11,7 +10,6 @@
 #include "common/finite_check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "dsp/window.h"
 #include "serving/affinity.h"
 
 namespace mmhar::serving {
@@ -33,6 +31,40 @@ constexpr int kZeroConsumeClamp = 64;
 // Heartbeat-frozen-with-work-pending observations before the watchdog
 // declares a shard stalled and restarts it.
 constexpr int kStallStrikes = 3;
+
+// The containment idiom of every fused stage of a cycle (range FFT, angle
+// FFT, inference): run the fused call over all items; if it throws
+// mmhar::Error, or `degraded` is already set, rerun each live item alone.
+// Per-lane FFT and per-row GEMM arithmetic is independent of batch
+// composition, so the reruns are bit-identical to the fused result and
+// only the items whose own rerun throws are sacrificed: dead[i] is set and
+// on_fault(i) attributes the fault. Items already marked dead are
+// skipped; single(i, k) gets item i's index and its position k among the
+// live items.
+template <typename Fused, typename Single, typename OnFault>
+void fused_or_each(bool degraded, std::size_t n, std::uint8_t* dead,
+                   const Fused& fused, const Single& single,
+                   const OnFault& on_fault) {
+  if (!degraded) {
+    try {
+      fused();
+      return;
+    } catch (const Error&) {
+      // Fall through to the per-item reruns.
+    }
+  }
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dead[i] != 0) continue;
+    try {
+      single(i, k);
+    } catch (const Error&) {
+      dead[i] = 1;
+      on_fault(i);
+    }
+    ++k;
+  }
+}
 
 }  // namespace
 
@@ -233,7 +265,10 @@ ServingConfig ServingConfig::from_env() {
 
 StreamingHarService::StreamingHarService(const ServingConfig& config,
                                          har::HarModel& model)
-    : config_(config), models_(model) {
+    : config_(config),
+      stages_(config.num_chirps, config.num_antennas, config.num_samples,
+              config.heatmap),
+      models_(model) {
   const har::HarModelConfig& mc = model.config();
   const dsp::HeatmapConfig& hm = config.heatmap;
   MMHAR_REQUIRE(config.max_streams > 0 && config.queue_depth > 0 &&
@@ -249,17 +284,6 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
   MMHAR_REQUIRE(hm.range_bins == mc.height && hm.angle_bins == mc.width,
                 "ServingConfig: heatmap dims must match the model ("
                     << mc.height << "x" << mc.width << ")");
-  MMHAR_REQUIRE(hm.normalize_per_sequence,
-                "ServingConfig: serving windows normalize over the whole "
-                "T-frame sequence; per-frame normalization is unsupported");
-  MMHAR_REQUIRE(dsp::is_power_of_two(config.num_samples) &&
-                    hm.range_bins <= config.num_samples,
-                "ServingConfig: num_samples must be a power of two >= "
-                "range_bins");
-  MMHAR_REQUIRE(dsp::is_power_of_two(hm.angle_bins) &&
-                    hm.angle_bins >= config.num_antennas,
-                "ServingConfig: angle_bins must be a power of two >= "
-                "num_antennas");
   MMHAR_REQUIRE(mc.num_classes <= kMaxServingClasses,
                 "ServingConfig: num_classes exceeds kMaxServingClasses");
 
@@ -267,16 +291,14 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
   num_classes_ = mc.num_classes;
   deadline_enabled_ = config.slo_ms > 0;
   deadline_budget_ = std::chrono::milliseconds(config.slo_ms);
-  range_window_ = dsp::cached_window(hm.range_window, config.num_samples).data();
   registry_ = std::make_unique<Registry>();
   {
     MutexLock lk(registry_->mu);
     registry_->streams.reserve(config.max_streams);
   }
 
-  const std::size_t hw = hm.range_bins * hm.angle_bins;
-  const std::size_t spectra_elems =
-      config.num_chirps * config.num_antennas * hm.range_bins;
+  const std::size_t hw = stages_.drai_elems();
+  const std::size_t spectra_elems = stages_.spectra_elems();
   windows_ = std::make_unique<WindowTable>();
   windows_->w.resize(config.max_streams);
   for (WindowTable::StreamWindow& w : windows_->w)
@@ -597,24 +619,27 @@ std::size_t StreamingHarService::quarantine_claims(Shard& sh,
 
 // One pipeline round over the current claim list (at most one frame per
 // stream, so a window slot written this round is never part of an
-// already-recorded job). Stages are fused across every claimed frame.
+// already-recorded job). Each DRAI stage runs once, fused across every
+// claimed frame, through the same dsp::DraiStages functions the offline
+// compute_drai_sequence uses.
 //
 // Containment: mmhar::Error at a fused DSP boundary degrades to
-// per-frame (batch-1) reruns — per-lane FFT arithmetic is independent of
-// batch composition, so the reruns are bit-identical and only the faulty
-// frame is sacrificed (claim_dead, StreamStats::errors). A dead frame
-// never advances its stream's window, so the window slot it would have
-// written is simply rewritten by the next clean frame.
+// per-frame (batch-1) reruns (fused_or_each), so only the faulty frame is
+// sacrificed (claim_dead, StreamStats::errors). A dead frame never
+// advances its stream's window, so the window slot it would have written
+// is simply rewritten by the next clean frame.
 void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
-  const dsp::HeatmapConfig& hm = config_.heatmap;
-  const std::size_t hw = hm.range_bins * hm.angle_bins;
+  const std::size_t hw = stages_.drai_elems();
   const std::size_t wlen = window_frames_ * hw;
-  const std::size_t spectra_elems =
-      config_.num_chirps * config_.num_antennas * hm.range_bins;
+  const std::size_t spectra_elems = stages_.spectra_elems();
   MMHAR_CHECK(sh.spectra.size() >= n_claims * spectra_elems);
   MMHAR_CHECK(sh.claim_dead.size() >= n_claims);
   dsp::cfloat* const spectra = sh.spectra.data();
-  std::fill_n(sh.claim_dead.begin(), n_claims, std::uint8_t{0});
+  std::uint8_t* const dead = sh.claim_dead.data();
+  std::fill_n(dead, n_claims, std::uint8_t{0});
+  const auto fault = [this, &sh](std::size_t i) {
+    record_stream_fault(sh, sh.claims[i].stream, /*quarantine=*/false);
+  };
 
   // Stage 1: every claimed frame's windowed Range-FFT in ONE batched
   // call — SIMD lanes run across (chirp, antenna) rows of all frames of
@@ -625,59 +650,38 @@ void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
     sh.range_ios[i] = {cl.stream->slot_data[cl.slot].data(),
                        spectra + i * spectra_elems};
   }
-  dsp::FftManyJob range_job;
-  range_job.n = config_.num_samples;
-  range_job.in_len = config_.num_samples;
-  range_job.window = range_window_;
-  range_job.lanes = config_.num_chirps * config_.num_antennas;
-  range_job.in_lane_stride = config_.num_samples;
-  range_job.in_elem_stride = 1;
-  try {
-    dsp::fft_many_crop_multi(range_job, hm.range_bins,
-                             std::span<const dsp::FftManyIo>(
-                                 sh.range_ios.data(), n_claims),
-                             hm.range_bins, 1);
-  } catch (const Error&) {
-    for (std::size_t i = 0; i < n_claims; ++i) {
-      MMHAR_CHECK(i < sh.range_ios.size());
-      try {
-        dsp::fft_many_crop_multi(range_job, hm.range_bins,
-                                 std::span<const dsp::FftManyIo>(
-                                     sh.range_ios.data() + i, 1),
-                                 hm.range_bins, 1);
-      } catch (const Error&) {
-        sh.claim_dead[i] = 1;
-        record_stream_fault(sh, sh.claims[i].stream, /*quarantine=*/false);
-      }
-    }
-  }
+  const dsp::FftManyIo* const range_ios = sh.range_ios.data();
+  fused_or_each(
+      /*degraded=*/false, n_claims, dead,
+      [&] { stages_.range_stage({range_ios, n_claims}); },
+      [&](std::size_t i, std::size_t) {
+        stages_.range_stage({range_ios + i, 1});
+      },
+      fault);
 
   // Post-FFT tripwire (what used to be a fatal whole-batch check_finite):
   // per-frame, non-throwing, attributed to the offending stream.
   if (finite_checks_enabled()) {
     for (std::size_t i = 0; i < n_claims; ++i) {
-      if (sh.claim_dead[i] != 0) continue;
+      if (dead[i] != 0) continue;
       const FiniteScan scan = detail::scan_finite(
           reinterpret_cast<const float*>(spectra + i * spectra_elems),
           2 * spectra_elems);
-      const bool storm =
-          scan.denormal_count >= kDenormalStormMinCount &&
-          static_cast<double>(scan.denormal_count) >
-              kDenormalStormFraction * static_cast<double>(2 * spectra_elems);
-      if (scan.has_nan_or_inf() || storm) {
-        sh.claim_dead[i] = 1;
-        record_stream_fault(sh, sh.claims[i].stream, /*quarantine=*/false);
+      if (scan.violates(2 * spectra_elems)) {
+        dead[i] = 1;
+        fault(i);
       }
     }
   }
 
   // Stage 2: static clutter removal (serial per frame — pool-free).
-  if (hm.remove_clutter) {
+  if (config_.heatmap.remove_clutter) {
     for (std::size_t i = 0; i < n_claims; ++i) {
-      if (sh.claim_dead[i] != 0) continue;
+      if (dead[i] != 0) continue;
       dsp::remove_static_clutter_serial(spectra + i * spectra_elems,
                                         config_.num_chirps,
-                                        config_.num_antennas, hm.range_bins);
+                                        config_.num_antennas,
+                                        config_.heatmap.range_bins);
     }
   }
 
@@ -695,12 +699,12 @@ void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
   // window exactly as if the frame were never submitted — the slot it
   // targeted is rewritten by the next clean frame. (At most one claim
   // per stream per round, so the deferral cannot interleave two frames
-  // of one stream.)
+  // of one stream.) A round whose every claim died has no angle work.
   MMHAR_CHECK(sh.angle_ios.size() >= n_claims &&
               sh.jobs.size() >= sh.n_jobs + n_claims);
   std::size_t n_live = 0;
   for (std::size_t i = 0; i < n_claims; ++i) {
-    if (sh.claim_dead[i] != 0) continue;
+    if (dead[i] != 0) continue;
     const Shard::Claim& cl = sh.claims[i];
     WindowTable::StreamWindow& w = windows_->w[cl.stream_id];
     MMHAR_CHECK(w.drai.size() == wlen && w.next < window_frames_);
@@ -708,43 +712,22 @@ void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
                             w.drai.data() + w.next * hw};
     ++n_live;
   }
-  dsp::FftManyJob angle_job;
-  angle_job.n = hm.angle_bins;
-  angle_job.in_len = config_.num_antennas;
-  angle_job.lanes = hm.range_bins;
-  angle_job.in_lane_stride = 1;
-  angle_job.in_elem_stride = hm.range_bins;
-  angle_job.reps = config_.num_chirps;
-  angle_job.in_rep_stride = config_.num_antennas * hm.range_bins;
-  try {
-    dsp::fft_many_mag_accum_multi(angle_job, /*shift=*/true,
-                                  std::span<const dsp::FftManyMagIo>(
-                                      sh.angle_ios.data(), n_live),
-                                  hm.angle_bins, 1);
-  } catch (const Error&) {
-    std::size_t io = 0;
-    for (std::size_t i = 0; i < n_claims; ++i) {
-      if (sh.claim_dead[i] != 0) continue;
-      MMHAR_CHECK(io < sh.angle_ios.size());
-      try {
-        dsp::fft_many_mag_accum_multi(angle_job, /*shift=*/true,
-                                      std::span<const dsp::FftManyMagIo>(
-                                          sh.angle_ios.data() + io, 1),
-                                      hm.angle_bins, 1);
-      } catch (const Error&) {
-        sh.claim_dead[i] = 1;
-        record_stream_fault(sh, sh.claims[i].stream, /*quarantine=*/false);
-      }
-      ++io;
-    }
-  }
+  if (n_live == 0) return;
+  const dsp::FftManyMagIo* const angle_ios = sh.angle_ios.data();
+  fused_or_each(
+      /*degraded=*/false, n_claims, dead,
+      [&] { stages_.angle_stage({angle_ios, n_live}); },
+      [&](std::size_t, std::size_t k) {
+        stages_.angle_stage({angle_ios + k, 1});
+      },
+      fault);
 
   // Deferred window bookkeeping for the survivors; a clean frame that
   // completes DSP without filling its window is this stream's recovery
   // signal (jobs get theirs after clean logits in run_inference).
   const std::size_t round_job_start = sh.n_jobs;
   for (std::size_t i = 0; i < n_claims; ++i) {
-    if (sh.claim_dead[i] != 0) continue;
+    if (dead[i] != 0) continue;
     const Shard::Claim& cl = sh.claims[i];
     WindowTable::StreamWindow& w = windows_->w[cl.stream_id];
     w.next = (w.next + 1) % window_frames_;
@@ -758,9 +741,8 @@ void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
   }
 
   // Stage 4: gather the windows completed this round into network-input
-  // rows, applying the sequence-level dB conversion and min-max
-  // normalization exactly as compute_drai_sequence's tail does (to_db
-  // then normalize01 over the whole [T, R, A] block).
+  // rows, oldest frame first, and run the shared window tail (dB, then
+  // min-max over the whole [T, R, A] block) on each.
   MMHAR_CHECK(sh.net_input.size() >= sh.n_jobs * wlen);
   float* const net_input = sh.net_input.data();
   for (std::size_t j = round_job_start; j < sh.n_jobs; ++j) {
@@ -773,21 +755,7 @@ void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
                 w.drai.begin() + static_cast<std::ptrdiff_t>((src + 1) * hw),
                 row + t * hw);
     }
-    if (hm.log_scale) {
-      for (std::size_t i = 0; i < wlen; ++i)
-        row[i] = 20.0F * std::log10(std::max(row[i], hm.db_floor));
-    }
-    if (hm.normalize) {
-      const float lo = *std::min_element(row, row + wlen);
-      const float hi = *std::max_element(row, row + wlen);
-      const float range = hi - lo;
-      if (range <= 0.0F) {
-        std::fill(row, row + wlen, 0.0F);
-      } else {
-        const float inv = 1.0F / range;
-        for (std::size_t i = 0; i < wlen; ++i) row[i] = (row[i] - lo) * inv;
-      }
-    }
+    stages_.window_tail(row, window_frames_);
   }
 }
 
@@ -812,18 +780,21 @@ void StreamingHarService::clear_stream_fault_streak(Stream* s) {
 //
 // Containment: an injected serving.infer_fail (one draw per job row) or
 // an mmhar::Error escaping the fused forward degrades the cycle to
-// per-row batch-1 reruns — row arithmetic is batch-composition
-// independent, so every surviving row's logits are bit-identical to the
-// fused result and only the faulty rows are sacrificed (job_dead,
-// StreamStats::errors). Rows whose logits come back non-finite are
-// sacrificed the same way instead of tearing the process down.
+// per-row batch-1 reruns (fused_or_each) — row arithmetic is
+// batch-composition independent, so every surviving row's logits are
+// bit-identical to the fused result and only the faulty rows are
+// sacrificed (job_dead, StreamStats::errors). Rows whose logits come
+// back non-finite are sacrificed the same way instead of tearing the
+// process down.
 void StreamingHarService::run_inference(Shard& sh) {
-  const dsp::HeatmapConfig& hm = config_.heatmap;
-  const std::size_t wlen =
-      window_frames_ * hm.range_bins * hm.angle_bins;
+  const std::size_t wlen = window_frames_ * stages_.drai_elems();
   MMHAR_CHECK(sh.logits.size() >= sh.n_jobs * num_classes_);
   MMHAR_CHECK(sh.job_dead.size() >= sh.n_jobs);
-  std::fill_n(sh.job_dead.begin(), sh.n_jobs, std::uint8_t{0});
+  std::uint8_t* const dead = sh.job_dead.data();
+  std::fill_n(dead, sh.n_jobs, std::uint8_t{0});
+  const auto fault = [this, &sh](std::size_t j) {
+    record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);
+  };
 
   bool degraded = false;
   if (fault_injection_armed()) {
@@ -831,88 +802,68 @@ void StreamingHarService::run_inference(Shard& sh) {
       // Armed-only cold path (see quarantine_claims).
       // mmhar-rtcheck: allow(calls)
       if (fault_should_fire("serving.infer_fail")) {
-        sh.job_dead[j] = 1;
+        dead[j] = 1;
         degraded = true;
-        record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);
+        fault(j);
       }
     }
   }
 
-  if (!degraded) {
-    try {
-      if (models_.size() == 1) {
-        har::infer_forward(models_.plan(0), sh.scratch, sh.net_input.data(),
-                           sh.n_jobs, sh.logits.data());
-      } else {
-        for (std::size_t m = 0; m < models_.size(); ++m) {
-          std::size_t rows = 0;
-          for (std::size_t j = 0; j < sh.n_jobs; ++j) {
-            if (sh.jobs[j].model != m) continue;
-            sh.model_rows[rows] = j;
-            std::copy(
-                sh.net_input.begin() + static_cast<std::ptrdiff_t>(j * wlen),
-                sh.net_input.begin() +
-                    static_cast<std::ptrdiff_t>((j + 1) * wlen),
-                sh.model_input.begin() +
-                    static_cast<std::ptrdiff_t>(rows * wlen));
-            ++rows;
-          }
-          if (rows == 0) continue;
-          har::infer_forward(models_.plan(m), sh.scratch,
-                             sh.model_input.data(), rows,
-                             sh.model_logits.data());
-          for (std::size_t r = 0; r < rows; ++r)
-            std::copy(sh.model_logits.begin() +
-                          static_cast<std::ptrdiff_t>(r * num_classes_),
-                      sh.model_logits.begin() +
-                          static_cast<std::ptrdiff_t>((r + 1) * num_classes_),
-                      sh.logits.begin() +
-                          static_cast<std::ptrdiff_t>(sh.model_rows[r] *
-                                                      num_classes_));
-        }
-      }
-    } catch (const Error&) {
-      degraded = true;
+  const auto fused = [&] {
+    if (models_.size() == 1) {
+      har::infer_forward(models_.plan(0), sh.scratch, sh.net_input.data(),
+                         sh.n_jobs, sh.logits.data());
+      return;
     }
-  }
-
-  if (degraded) {
-    for (std::size_t j = 0; j < sh.n_jobs; ++j) {
-      if (sh.job_dead[j] != 0) continue;
-      MMHAR_CHECK((j + 1) * wlen <= sh.net_input.size() &&
-                  (j + 1) * num_classes_ <= sh.logits.size());
-      try {
-        har::infer_forward(models_.plan(sh.jobs[j].model), sh.scratch,
-                           sh.net_input.data() + j * wlen, 1,
-                           sh.logits.data() + j * num_classes_);
-      } catch (const Error&) {
-        sh.job_dead[j] = 1;
-        record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);
+    for (std::size_t m = 0; m < models_.size(); ++m) {
+      std::size_t rows = 0;
+      for (std::size_t j = 0; j < sh.n_jobs; ++j) {
+        if (sh.jobs[j].model != m) continue;
+        sh.model_rows[rows] = j;
+        std::copy(
+            sh.net_input.begin() + static_cast<std::ptrdiff_t>(j * wlen),
+            sh.net_input.begin() + static_cast<std::ptrdiff_t>((j + 1) * wlen),
+            sh.model_input.begin() + static_cast<std::ptrdiff_t>(rows * wlen));
+        ++rows;
       }
+      if (rows == 0) continue;
+      har::infer_forward(models_.plan(m), sh.scratch, sh.model_input.data(),
+                         rows, sh.model_logits.data());
+      for (std::size_t r = 0; r < rows; ++r)
+        std::copy(sh.model_logits.begin() +
+                      static_cast<std::ptrdiff_t>(r * num_classes_),
+                  sh.model_logits.begin() +
+                      static_cast<std::ptrdiff_t>((r + 1) * num_classes_),
+                  sh.logits.begin() + static_cast<std::ptrdiff_t>(
+                                          sh.model_rows[r] * num_classes_));
     }
-  }
+  };
+  const auto single = [&](std::size_t j, std::size_t) {
+    MMHAR_CHECK((j + 1) * wlen <= sh.net_input.size() &&
+                (j + 1) * num_classes_ <= sh.logits.size());
+    har::infer_forward(models_.plan(sh.jobs[j].model), sh.scratch,
+                       sh.net_input.data() + j * wlen, 1,
+                       sh.logits.data() + j * num_classes_);
+  };
+  fused_or_each(degraded, sh.n_jobs, dead, fused, single, fault);
 
   // Post-forward tripwire (what used to be a fatal whole-batch
   // check_finite): per-row, non-throwing, attributed per stream.
   if (finite_checks_enabled()) {
     for (std::size_t j = 0; j < sh.n_jobs; ++j) {
-      if (sh.job_dead[j] != 0) continue;
+      if (dead[j] != 0) continue;
       MMHAR_CHECK((j + 1) * num_classes_ <= sh.logits.size());
       const FiniteScan scan = detail::scan_finite(
           sh.logits.data() + j * num_classes_, num_classes_);
-      const bool storm =
-          scan.denormal_count >= kDenormalStormMinCount &&
-          static_cast<double>(scan.denormal_count) >
-              kDenormalStormFraction * static_cast<double>(num_classes_);
-      if (scan.has_nan_or_inf() || storm) {
-        sh.job_dead[j] = 1;
-        record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);
+      if (scan.violates(num_classes_)) {
+        dead[j] = 1;
+        fault(j);
       }
     }
   }
 
   for (std::size_t j = 0; j < sh.n_jobs; ++j)
-    if (sh.job_dead[j] == 0) clear_stream_fault_streak(sh.jobs[j].stream);
+    if (dead[j] == 0) clear_stream_fault_streak(sh.jobs[j].stream);
 }
 
 // Publish the cycle's classifications into their streams' result rings.

@@ -11,19 +11,20 @@
 //                                                    frames past deadline
 //                                                         │
 //                                                    fused Range-FFT
-//                                                    (one fft_many_crop_multi
-//                                                     call per shard round,
-//                                                     SIMD lanes across the
-//                                                     shard's streams)
+//                                                    (one DraiStages::
+//                                                     range_stage call per
+//                                                     shard round, SIMD lanes
+//                                                     across the shard's
+//                                                     streams)
 //                                                         │
 //                                                    clutter removal (serial)
 //                                                         │
 //                                                    fused Angle-FFT → DRAI
-//                                                    (one fft_many_mag_accum_
-//                                                     multi call)
+//                                                    (one angle_stage call)
 //                                                         │
 //                                                    per-stream sliding window
-//                                                    (T raw DRAI frames)
+//                                                    (T raw DRAI frames,
+//                                                     window_tail on gather)
 //                                                         │
 //                                                    per-model micro-batched
 //                                                    CNN-LSTM (prepacked-GEMM
@@ -156,9 +157,8 @@ struct ServingConfig {
   std::size_t num_samples = 64;
 
   /// DSP chain configuration; range_bins/angle_bins must match the
-  /// model's height/width and normalize_per_sequence must be set (the
-  /// window normalizes over the whole T-frame sequence, exactly like
-  /// compute_drai_sequence).
+  /// model's height/width. The window's dB + min-max tail runs over the
+  /// whole T-frame sequence, exactly like compute_drai_sequence.
   dsp::HeatmapConfig heatmap;
 
   /// Defaults overridden by MMHAR_SERVING_BATCH / _QUEUE_DEPTH /
@@ -325,11 +325,11 @@ class StreamingHarService {
   void restart_shard(std::size_t shard);
 
   ServingConfig config_;
+  dsp::DraiStages stages_;  ///< the DRAI stages shared with offline DSP
   std::size_t window_frames_ = 0;   ///< T, from the model config
   std::size_t num_classes_ = 0;
   bool deadline_enabled_ = false;
   std::chrono::steady_clock::duration deadline_budget_{};
-  const float* range_window_ = nullptr;  ///< cached window table (stable)
   ModelRegistry models_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

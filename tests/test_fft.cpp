@@ -117,7 +117,22 @@ TEST(Fft, FftShiftSwapsHalves) {
   EXPECT_THROW(fftshift_inplace(std::span<float>(odd)), InvalidArgument);
 }
 
-// ---- Batched engine (fft_many) vs the naive DFT oracle ---------------------
+// ---- Batched engine (fft_many_*_multi) vs the naive DFT oracle -------------
+
+// One frame through the batch-of-batches entry points: `proto` carries the
+// geometry, `in`/`out` the frame's base pointers.
+void crop_one(const FftManyJob& proto, const cfloat* in, std::size_t keep,
+              cfloat* out, std::size_t out_lane_stride,
+              std::size_t out_elem_stride) {
+  const FftManyIo io{in, out};
+  fft_many_crop_multi(proto, keep, std::span<const FftManyIo>(&io, 1),
+                      out_lane_stride, out_elem_stride);
+}
+
+void full_one(const FftManyJob& proto, const cfloat* in, cfloat* out,
+              std::size_t out_lane_stride, std::size_t out_elem_stride) {
+  crop_one(proto, in, proto.n, out, out_lane_stride, out_elem_stride);
+}
 
 // Every transform size the pipeline actually issues: doppler bins (16),
 // angle bins (32), ADC samples (64), plus one larger size for coverage.
@@ -131,12 +146,11 @@ TEST_P(FftManySizes, ContiguousLanesMatchNaiveDft) {
   std::vector<cfloat> out(n * lanes);
   FftManyJob job;
   job.n = n;
-  job.in = data.data();
   job.in_len = n;
   job.lanes = lanes;
   job.in_lane_stride = n;
   job.in_elem_stride = 1;
-  fft_many(job, out.data(), n, 1);
+  full_one(job, data.data(), out.data(), n, 1);
 
   for (std::size_t l = 0; l < lanes; ++l) {
     const std::vector<cfloat> x(data.begin() + static_cast<std::ptrdiff_t>(l * n),
@@ -153,7 +167,7 @@ TEST_P(FftManySizes, ContiguousLanesMatchNaiveDft) {
 
 TEST_P(FftManySizes, InterleavedSoALayoutMatchesContiguous) {
   // Same transforms, but laid out element-major (lane stride 1) the way
-  // the doppler/angle stages read RangeSpectra; outputs must agree.
+  // the doppler/angle stages read range spectra; outputs must agree.
   const std::size_t n = GetParam();
   const std::size_t lanes = 7;
   const auto rows = random_signal(n * lanes, n + 3);
@@ -165,19 +179,17 @@ TEST_P(FftManySizes, InterleavedSoALayoutMatchesContiguous) {
   std::vector<cfloat> out_rows(n * lanes);
   FftManyJob row_job;
   row_job.n = n;
-  row_job.in = rows.data();
   row_job.in_len = n;
   row_job.lanes = lanes;
   row_job.in_lane_stride = n;
   row_job.in_elem_stride = 1;
-  fft_many(row_job, out_rows.data(), n, 1);
+  full_one(row_job, rows.data(), out_rows.data(), n, 1);
 
   std::vector<cfloat> out_soa(n * lanes);
   FftManyJob soa_job = row_job;
-  soa_job.in = soa.data();
   soa_job.in_lane_stride = 1;
   soa_job.in_elem_stride = lanes;
-  fft_many(soa_job, out_soa.data(), 1, lanes);
+  full_one(soa_job, soa.data(), out_soa.data(), 1, lanes);
 
   for (std::size_t l = 0; l < lanes; ++l)
     for (std::size_t i = 0; i < n; ++i) {
@@ -201,13 +213,12 @@ TEST(FftMany, WindowAndZeroPadFuseIntoTheLoad) {
   std::vector<cfloat> out(n * lanes);
   FftManyJob job;
   job.n = n;
-  job.in = data.data();
   job.in_len = in_len;
   job.window = w.data();
   job.lanes = lanes;
   job.in_lane_stride = in_len;
   job.in_elem_stride = 1;
-  fft_many(job, out.data(), n, 1);
+  full_one(job, data.data(), out.data(), n, 1);
 
   for (std::size_t l = 0; l < lanes; ++l) {
     std::vector<cfloat> x(n, cfloat{0.0F, 0.0F});
@@ -229,16 +240,15 @@ TEST(FftMany, CropKeepsTheLeadingBins) {
 
   FftManyJob job;
   job.n = n;
-  job.in = data.data();
   job.in_len = n;
   job.lanes = lanes;
   job.in_lane_stride = n;
   job.in_elem_stride = 1;
 
   std::vector<cfloat> full(n * lanes);
-  fft_many(job, full.data(), n, 1);
+  full_one(job, data.data(), full.data(), n, 1);
   std::vector<cfloat> cropped(keep * lanes);
-  fft_many_crop(job, keep, cropped.data(), keep, 1);
+  crop_one(job, data.data(), keep, cropped.data(), keep, 1);
 
   for (std::size_t l = 0; l < lanes; ++l)
     for (std::size_t i = 0; i < keep; ++i) {
@@ -258,7 +268,6 @@ TEST(FftMany, MagAccumMatchesShiftedMagnitudeSum) {
 
   FftManyJob job;
   job.n = n;
-  job.in = data.data();
   job.in_len = n;
   job.window = w.data();
   job.lanes = lanes;
@@ -268,7 +277,9 @@ TEST(FftMany, MagAccumMatchesShiftedMagnitudeSum) {
   job.in_rep_stride = n * lanes;
 
   std::vector<float> out(n * lanes, -1.0F);  // must be overwritten, not added
-  fft_many_mag_accum(job, /*shift=*/true, out.data(), n, 1);
+  const FftManyMagIo io{data.data(), out.data()};
+  fft_many_mag_accum_multi(job, /*shift=*/true,
+                           std::span<const FftManyMagIo>(&io, 1), n, 1);
 
   for (std::size_t l = 0; l < lanes; ++l) {
     std::vector<float> expect(n, 0.0F);
@@ -293,14 +304,23 @@ TEST(FftMany, RejectsInvalidJobs) {
   std::vector<cfloat> out(12);
   FftManyJob job;
   job.n = 12;  // not a power of two
-  job.in = in.data();
   job.in_len = 12;
   job.lanes = 1;
   job.in_lane_stride = 12;
-  EXPECT_THROW(fft_many(job, out.data(), 12, 1), InvalidArgument);
+  EXPECT_THROW(full_one(job, in.data(), out.data(), 12, 1), InvalidArgument);
   job.n = 8;
   job.in_len = 12;  // longer than the transform
-  EXPECT_THROW(fft_many(job, out.data(), 8, 1), InvalidArgument);
+  EXPECT_THROW(full_one(job, in.data(), out.data(), 8, 1), InvalidArgument);
+  job.in_len = 8;
+  EXPECT_THROW(crop_one(job, in.data(), 9, out.data(), 8, 1),  // keep > n
+               InvalidArgument);
+  job.in = in.data();  // inputs come from the io list, never the job
+  EXPECT_THROW(full_one(job, in.data(), out.data(), 8, 1), InvalidArgument);
+  job.in = nullptr;
+  EXPECT_THROW(fft_many_crop_multi(job, 8, {}, 8, 1), InvalidArgument);
+  EXPECT_THROW(fft_many_mag_accum_multi(job, true, {}, 8, 1),
+               InvalidArgument);
+  full_one(job, in.data(), out.data(), 8, 1);  // the fixed job runs
 }
 
 TEST(Window, CachedWindowMatchesMakeWindow) {

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dsp/heatmap.h"
+#include "tensor/ops.h"
 
 namespace mmhar::dsp {
 namespace {
@@ -38,6 +40,12 @@ void inject_target(RadarCube& cube, double range_bin, double angle_cycles,
   }
 }
 
+RangeSpectra spectra_of(const RadarCube& cube, const HeatmapConfig& cfg) {
+  RangeSpectra s;
+  range_fft(cube, cfg, s);
+  return s;
+}
+
 HeatmapConfig test_config() {
   HeatmapConfig cfg;
   cfg.range_bins = 32;
@@ -63,7 +71,7 @@ TEST(RangeFft, PeakAtInjectedRangeBin) {
   inject_target(cube, 12.0, 0.0, 0.0);
   auto cfg = test_config();
   cfg.range_window = WindowKind::Rect;
-  const RangeSpectra spectra = range_fft(cube, cfg);
+  const RangeSpectra spectra = spectra_of(cube, cfg);
   std::size_t peak = 0;
   for (std::size_t r = 1; r < spectra.range_bins; ++r)
     if (std::abs(spectra.at(0, 0, r)) > std::abs(spectra.at(0, 0, peak)))
@@ -76,7 +84,7 @@ TEST(RangeFft, CropKeepsLeadingBins) {
   inject_target(cube, 3.0, 0.0, 0.0);
   auto cfg = test_config();
   cfg.range_bins = 8;
-  const RangeSpectra s = range_fft(cube, cfg);
+  const RangeSpectra s = spectra_of(cube, cfg);
   EXPECT_EQ(s.range_bins, 8u);
   std::size_t peak = 0;
   for (std::size_t r = 1; r < 8; ++r)
@@ -90,7 +98,7 @@ TEST(ClutterRemoval, KillsStaticKeepsMoving) {
   inject_target(cube, 20.0, 0.0, 0.2);   // moving target
   auto cfg = test_config();
   cfg.remove_clutter = true;
-  const RangeSpectra s = range_fft(cube, cfg);
+  const RangeSpectra s = spectra_of(cube, cfg);
   double static_energy = 0.0;
   double moving_energy = 0.0;
   for (std::size_t q = 0; q < 16; ++q) {
@@ -105,7 +113,7 @@ TEST(ClutterRemoval, MeanIsExactlyZeroPerCell) {
   inject_target(cube, 5.0, 0.1, 0.13);
   auto cfg = test_config();
   cfg.remove_clutter = true;
-  const RangeSpectra s = range_fft(cube, cfg);
+  const RangeSpectra s = spectra_of(cube, cfg);
   for (std::size_t k = 0; k < 2; ++k) {
     for (std::size_t r = 0; r < 32; ++r) {
       cfloat mean{0, 0};
@@ -197,7 +205,6 @@ TEST(DraiSequence, StacksFramesAndNormalizesGlobally) {
   }
   auto cfg = test_config();
   cfg.normalize = true;
-  cfg.normalize_per_sequence = true;
   const Tensor seq = compute_drai_sequence(frames, cfg);
   EXPECT_EQ(seq.shape(), (std::vector<std::size_t>{3, 32, 32}));
   EXPECT_FLOAT_EQ(seq.max(), 1.0F);
@@ -211,7 +218,7 @@ TEST(DraiSequence, StacksFramesAndNormalizesGlobally) {
   EXPECT_GT(m2, m0);
 }
 
-// ---- Spectra-reuse path ----------------------------------------------------
+// ---- Shared DRAI stages ----------------------------------------------------
 
 std::vector<RadarCube> noisy_frames(std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
@@ -233,32 +240,103 @@ void expect_identical(const Tensor& a, const Tensor& b, const char* what) {
     ASSERT_EQ(a[i], b[i]) << what << " diverges at flat index " << i;
 }
 
-TEST(SpectraReuse, AllViewsMatchTheCubeOverloads) {
-  // One range_fft feeding RDI + DRAI + profile must reproduce the
-  // cube-input overloads bit for bit.
-  const auto frames = noisy_frames(1, 42);
-  const RadarCube& cube = frames.front();
-  auto cfg = test_config();
-  cfg.remove_clutter = true;
-  const RangeSpectra spectra = range_fft(cube, cfg);
-
-  expect_identical(compute_rdi(spectra, cfg), compute_rdi(cube, cfg), "RDI");
-  expect_identical(compute_drai(spectra, cfg), compute_drai(cube, cfg),
-                   "DRAI");
-  expect_identical(range_profile(spectra), range_profile(cube, cfg),
-                   "range profile");
+// Raw DRAIs of `frames` through the shared stages, all frames fused into
+// one range call and one angle call when `fused`, else one call per frame.
+std::vector<float> staged_drais(const std::vector<RadarCube>& frames,
+                                const HeatmapConfig& cfg, bool fused) {
+  const RadarCube& c = frames.front();
+  const DraiStages stages(c.num_chirps(), c.num_antennas(), c.num_samples(),
+                          cfg);
+  const std::size_t n = frames.size();
+  const std::size_t se = stages.spectra_elems();
+  const std::size_t hw = stages.drai_elems();
+  std::vector<cfloat> spectra(n * se);
+  std::vector<float> drai(n * hw);
+  std::vector<FftManyIo> range_ios(n);
+  std::vector<FftManyMagIo> angle_ios(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    range_ios[f] = {frames[f].raw().data(), spectra.data() + f * se};
+    angle_ios[f] = {spectra.data() + f * se, drai.data() + f * hw};
+  }
+  if (fused) {
+    stages.range_stage(range_ios);
+  } else {
+    for (const FftManyIo& io : range_ios) stages.range_stage({&io, 1});
+  }
+  if (cfg.remove_clutter) {
+    for (std::size_t f = 0; f < n; ++f)
+      remove_static_clutter_serial(spectra.data() + f * se, c.num_chirps(),
+                                   c.num_antennas(), cfg.range_bins);
+  }
+  if (fused) {
+    stages.angle_stage(angle_ios);
+  } else {
+    for (const FftManyMagIo& io : angle_ios) stages.angle_stage({&io, 1});
+  }
+  return drai;
 }
 
-TEST(SpectraReuse, SequenceFromSpectraMatchesSequenceFromCubes) {
+TEST(DraiStages, FusedFramesMatchOneFrameCallsBitwise) {
+  // 5 frames x 256 range lanes and 5 x 32 angle lanes: the SIMD blocks of
+  // the fused calls span frame boundaries, the per-frame calls' never do.
+  const auto frames = noisy_frames(5, 41);
+  auto cfg = test_config();
+  cfg.remove_clutter = true;
+  for (const std::size_t angle_bins : {16U, 32U, 64U}) {
+    cfg.angle_bins = angle_bins;
+    const std::vector<float> fused = staged_drais(frames, cfg, true);
+    const std::vector<float> single = staged_drais(frames, cfg, false);
+    ASSERT_EQ(fused.size(), single.size());
+    EXPECT_EQ(0, std::memcmp(fused.data(), single.data(),
+                             fused.size() * sizeof(float)))
+        << "angle_bins " << angle_bins;
+  }
+}
+
+TEST(DraiStages, SequenceIsTheFusedStagesPlusTail) {
+  // compute_drai_sequence and the serving cycle's fused calls followed by
+  // the window tail give the same floats.
   const auto frames = noisy_frames(4, 43);
   auto cfg = test_config();
   cfg.remove_clutter = true;
   cfg.normalize = true;
   cfg.log_scale = true;
-  const auto spectra = compute_range_spectra(frames, cfg);
-  ASSERT_EQ(spectra.size(), frames.size());
-  expect_identical(compute_drai_sequence(spectra, cfg),
-                   compute_drai_sequence(frames, cfg), "DRAI sequence");
+  std::vector<float> block = staged_drais(frames, cfg, true);
+  const RadarCube& c = frames.front();
+  DraiStages(c.num_chirps(), c.num_antennas(), c.num_samples(), cfg)
+      .window_tail(block.data(), frames.size());
+  const Tensor seq = compute_drai_sequence(frames, cfg);
+  ASSERT_EQ(seq.size(), block.size());
+  EXPECT_EQ(0, std::memcmp(seq.data(), block.data(),
+                           block.size() * sizeof(float)));
+}
+
+TEST(DraiStages, WindowTailIsToDbThenNormalize01) {
+  const auto frames = noisy_frames(3, 45);
+  auto cfg = test_config();
+  const Tensor raw = compute_drai_sequence(frames, cfg);  // no tail ops
+  const RadarCube& c = frames.front();
+  for (const bool log_scale : {false, true}) {
+    for (const bool normalize : {false, true}) {
+      cfg.log_scale = log_scale;
+      cfg.normalize = normalize;
+      Tensor expect = raw;
+      if (log_scale) expect = to_db(expect, cfg.db_floor);
+      if (normalize) expect = normalize01(expect);
+      Tensor got = raw;
+      DraiStages(c.num_chirps(), c.num_antennas(), c.num_samples(), cfg)
+          .window_tail(got.data(), frames.size());
+      EXPECT_EQ(0, std::memcmp(got.data(), expect.data(),
+                               got.size() * sizeof(float)))
+          << "log " << log_scale << " normalize " << normalize;
+    }
+  }
+  // A flat block normalizes to zeros instead of dividing by zero.
+  cfg.log_scale = false;
+  cfg.normalize = true;
+  std::vector<float> flat(32 * 32, 3.0F);
+  DraiStages(4, 8, 64, cfg).window_tail(flat.data(), 1);
+  for (const float v : flat) EXPECT_EQ(v, 0.0F);
 }
 
 // ---- Bit-identity across thread counts -------------------------------------
@@ -293,14 +371,17 @@ TEST(ThreadIdentity, HeatmapsBitIdenticalForAnyPoolSize) {
 
 TEST(Heatmap, ConfigValidation) {
   RadarCube cube(4, 8, 48);  // 48 not a power of two
-  EXPECT_THROW(range_fft(cube, test_config()), InvalidArgument);
+  EXPECT_THROW(spectra_of(cube, test_config()), InvalidArgument);
   RadarCube ok(4, 8, 64);
   auto cfg = test_config();
   cfg.angle_bins = 4;  // < antennas
   EXPECT_THROW(compute_drai(ok, cfg), InvalidArgument);
   cfg = test_config();
   cfg.range_bins = 100;  // > samples
-  EXPECT_THROW(range_fft(ok, cfg), InvalidArgument);
+  EXPECT_THROW(spectra_of(ok, cfg), InvalidArgument);
+  cfg = test_config();
+  const std::vector<RadarCube> mixed{ok, RadarCube(8, 8, 64)};
+  EXPECT_THROW(compute_drai_sequence(mixed, cfg), InvalidArgument);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/alloc_count.h"
 #include "common/fault_injection.h"
 #include "common/finite_check.h"
 #include "common/rng.h"
@@ -87,6 +88,15 @@ dsp::RadarCube poisoned_cube(std::uint64_t seed) {
   dsp::RadarCube cube = random_cube(rng);
   cube.raw()[cube.raw().size() / 2] =
       dsp::cfloat(std::numeric_limits<float>::quiet_NaN(), 0.25F);
+  return cube;
+}
+
+// A finite frame whose range FFT overflows: every sample is 3e38+3e38i,
+// so the payload passes the claim-boundary scan but the windowed sums of
+// the range FFT reach Inf. Only the post-range-FFT tripwire catches it.
+dsp::RadarCube overflowing_cube() {
+  dsp::RadarCube cube(kChirps, kAntennas, kSamples);
+  for (dsp::cfloat& v : cube.raw()) v = dsp::cfloat(3e38F, 3e38F);
   return cube;
 }
 
@@ -291,6 +301,85 @@ TEST_F(ServingFaults, QuarantineIsolatesThePoisonedFrameExactly) {
     clean_alone = run_sequence(svc, sid, clean_frames);
   }
   expect_bit_identical(clean_got, clean_alone, mc.num_classes);
+}
+
+// The post-range-FFT tripwire sacrifices exactly the overflowing frame:
+// the victim counts an error (not a quarantine — its payload is finite)
+// and its window skips the frame, and a clean peer sharing the service is
+// bit-identical to serving alone. The first overflowing frame shares its
+// round with the peer's frame; the second has a cycle to itself, so its
+// round has no survivor and must skip the angle stage without a throw
+// (an exception allocates, and that cycle is asserted allocation-free).
+TEST_F(ServingFaults, RangeFftOverflowTripsOnlyItsStream) {
+  set_finite_checks_for_testing(1);
+  const har::HarModelConfig mc = test_model_config();
+  har::HarModel model(mc);
+  const ServingConfig cfg = test_serving_config();
+  const std::size_t total = mc.frames + 4;
+  const std::vector<dsp::RadarCube> victim_frames = random_frames(total, 61);
+  const std::vector<dsp::RadarCube> peer_frames = random_frames(total, 62);
+  const dsp::RadarCube overflow = overflowing_cube();
+  const std::size_t shared_round = 2;
+  const std::size_t own_round = mc.frames + 1;
+
+  std::vector<Classification> victim_got;
+  std::vector<Classification> peer_got;
+  {
+    StreamingHarService svc(cfg, model);
+    const std::size_t victim = svc.add_stream();
+    const std::size_t peer = svc.add_stream();
+    std::array<Classification, 8> buf;
+    for (std::size_t i = 0; i < total; ++i) {
+      if (i == shared_round) {
+        ASSERT_TRUE(svc.submit_frame(victim, overflow));
+        ASSERT_TRUE(svc.submit_frame(peer, peer_frames[i]));
+        svc.run_cycle();
+        const StreamStats vs = svc.stream_stats(victim);
+        EXPECT_EQ(vs.errors, 1U);
+        EXPECT_EQ(vs.quarantined, 0U);
+        ASSERT_TRUE(svc.submit_frame(victim, victim_frames[i]));
+      } else if (i == own_round) {
+        ASSERT_TRUE(svc.submit_frame(victim, overflow));
+        const std::uint64_t before = alloc_count();
+        svc.run_cycle();
+        EXPECT_EQ(alloc_count() - before, 0U)
+            << "a round with no surviving claim allocated";
+        EXPECT_EQ(svc.stream_stats(victim).errors, 2U);
+        ASSERT_TRUE(svc.submit_frame(victim, victim_frames[i]));
+        ASSERT_TRUE(svc.submit_frame(peer, peer_frames[i]));
+      } else {
+        ASSERT_TRUE(svc.submit_frame(victim, victim_frames[i]));
+        ASSERT_TRUE(svc.submit_frame(peer, peer_frames[i]));
+      }
+      svc.run_cycle();
+      std::size_t n = svc.poll(victim, std::span<Classification>(buf));
+      victim_got.insert(victim_got.end(), buf.begin(), buf.begin() + n);
+      n = svc.poll(peer, std::span<Classification>(buf));
+      peer_got.insert(peer_got.end(), buf.begin(), buf.begin() + n);
+    }
+    const StreamStats vs = svc.stream_stats(victim);
+    EXPECT_EQ(vs.errors, 2U);
+    EXPECT_EQ(vs.quarantined, 0U);
+    EXPECT_FALSE(vs.suspended);
+    EXPECT_EQ(svc.stream_stats(peer).errors, 0U);
+  }
+
+  // The victim's clean frames alone, and the peer alone: both
+  // bit-identical (sequence numbers shift by the extra submits).
+  std::vector<Classification> victim_alone;
+  std::vector<Classification> peer_alone;
+  {
+    StreamingHarService svc(cfg, model);
+    const std::size_t sid = svc.add_stream();
+    victim_alone = run_sequence(svc, sid, victim_frames);
+  }
+  {
+    StreamingHarService svc(cfg, model);
+    const std::size_t sid = svc.add_stream();
+    peer_alone = run_sequence(svc, sid, peer_frames);
+  }
+  expect_bit_identical(victim_got, victim_alone, mc.num_classes);
+  expect_bit_identical(peer_got, peer_alone, mc.num_classes);
 }
 
 // serving.frame_poison drives the same quarantine path deterministically:
