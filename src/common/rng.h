@@ -7,8 +7,11 @@
 // lets parallel workers consume randomness without sharing state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/thread_annotations.h"
 
 namespace mmhar {
 
@@ -42,6 +45,16 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 
+  /// n normals as floats: out[i] == static_cast<float>(normal(mean,
+  /// stddev)) for every i, bit for bit, and the generator ends in the
+  /// state n such calls leave (spare and save() bytes included). Pairs
+  /// are computed in vector double math; a pair whose float could differ
+  /// from the scalar one (see kNormalsGuardTolerance) is recomputed with
+  /// the scalar formula, and so are a spare held on entry and the last
+  /// pair, whose spare the generator keeps.
+  void normals_f32(float* out, std::size_t n, double mean,
+                   double stddev) MMHAR_DETERMINISTIC;
+
   /// Uniform integer in [0, n). Requires n > 0.
   std::size_t index(std::size_t n);
 
@@ -65,5 +78,19 @@ class Rng {
   double spare_ = 0.0;
   bool has_spare_ = false;
 };
+
+/// Relative error bound normals_f32's guard assumes for its vector
+/// Box–Muller: |z_fast - z| <= kNormalsGuardTolerance * |z| for every lane
+/// box_muller_pairs does not mark NaN, where z is the scalar normal()
+/// value. The measured error is about 2^-50 (Rng.NormalsF32FastPathError).
+inline constexpr double kNormalsGuardTolerance = 0x1p-40;
+
+/// The unguarded vector Box–Muller behind normals_f32: for each pair of
+/// uniforms (u1 in (0, 1), u2 in [0, 1)), c = r cos(2 pi u2) and
+/// s = r sin(2 pi u2) with r = sqrt(-2 ln u1), to within the guard's
+/// tolerance. Lanes whose cosine or sine is too close to zero for that
+/// bound come out NaN in both c and s. n must be a multiple of 8.
+void box_muller_pairs(const double* u1, const double* u2, std::size_t n,
+                      double* c, double* s);
 
 }  // namespace mmhar

@@ -33,6 +33,8 @@ constexpr std::size_t kBatch = 8;
 // scatterer before a single write to the cube.
 constexpr std::size_t kTileChirps = 4;
 constexpr std::size_t kTileSamples = 16;
+// IF samples whose receiver noise is drawn per Rng::normals_f32 call.
+constexpr std::size_t kNoiseChunk = 1024;
 
 // GCC/Clang vector types: element-wise arithmetic with the same
 // per-element rounding as scalar code, lowered to the widest SIMD
@@ -425,11 +427,17 @@ dsp::RadarCube Simulator::synthesize(const std::vector<Scatterer>& scatterers,
     });
   }
 
+  // Complex AWGN, two normals per IF sample: the first is the imaginary
+  // part and the second the real part, the order every dataset has been
+  // drawn in.
   if (rng != nullptr && config_.noise_std > 0.0) {
-    const double sigma = config_.noise_std;
-    for (auto& v : cube.raw()) {
-      v += dsp::cfloat(static_cast<float>(rng->normal(0.0, sigma)),
-                       static_cast<float>(rng->normal(0.0, sigma)));
+    float noise[2 * kNoiseChunk];
+    std::vector<dsp::cfloat>& raw = cube.raw();
+    for (std::size_t i0 = 0; i0 < raw.size(); i0 += kNoiseChunk) {
+      const std::size_t len = std::min(kNoiseChunk, raw.size() - i0);
+      rng->normals_f32(noise, 2 * len, 0.0, config_.noise_std);
+      for (std::size_t i = 0; i < len; ++i)
+        raw[i0 + i] += dsp::cfloat(noise[2 * i + 1], noise[2 * i]);
     }
   }
   return cube;

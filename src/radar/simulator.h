@@ -30,6 +30,11 @@
 // inline); outputs are bit-identical for any MMHAR_THREADS. Visibility =
 // back-face culling toward the radar plus an optional coarse
 // spherical-sector occlusion test.
+//
+// Receiver noise is complex AWGN, two normals per IF sample drawn in
+// batches by Rng::normals_f32 (vector Box–Muller, float bits equal to
+// scalar Rng::normal calls): the first normal of each pair is the
+// imaginary part, the second the real part.
 #pragma once
 
 #include <cstddef>
@@ -77,7 +82,8 @@ class Simulator {
                                             double frame_dt) const;
 
   /// Synthesize one frame of IF samples from explicit scatterers.
-  /// `rng` (optional) adds complex AWGN of std config.noise_std.
+  /// `rng` (optional) adds complex AWGN of std config.noise_std to the I
+  /// and Q parts of every sample.
   dsp::RadarCube synthesize(const std::vector<Scatterer>& scatterers,
                             Rng* rng = nullptr) const MMHAR_DETERMINISTIC;
 

@@ -39,8 +39,7 @@ Tensor Tensor::full(std::vector<std::size_t> shape, float value) {
 Tensor Tensor::randn(std::vector<std::size_t> shape, Rng& rng, float mean,
                      float stddev) {
   Tensor t(std::move(shape));
-  for (auto& v : t.data_)
-    v = static_cast<float>(rng.normal(mean, stddev));
+  rng.normals_f32(t.data_.data(), t.data_.size(), mean, stddev);
   return t;
 }
 

@@ -2,12 +2,17 @@
 // thread pool, env parsing, logging, and the check macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/env.h"
@@ -80,6 +85,136 @@ TEST(Rng, NormalMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.03);
   EXPECT_NEAR(var, 1.0, 0.05);
+}
+
+std::string rng_state(const Rng& rng) {
+  std::ostringstream os;
+  BinaryWriter w(os);
+  rng.save(w);
+  return os.str();
+}
+
+// Rng::normals_f32 against n scalar normal(mean, stddev) calls on a
+// same-seeded generator: the float bits and the generator state bytes.
+void expect_normals_match(std::uint64_t seed, std::size_t n, double mean,
+                          double stddev, bool spare_on_entry) {
+  Rng batched(seed);
+  Rng scalar(seed);
+  if (spare_on_entry) {
+    batched.normal();
+    scalar.normal();
+  }
+  std::vector<float> got(n + 1, -7.0F);
+  std::vector<float> want(n + 1, -7.0F);
+  batched.normals_f32(got.data(), n, mean, stddev);
+  for (std::size_t i = 0; i < n; ++i)
+    want[i] = static_cast<float>(scalar.normal(mean, stddev));
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), (n + 1) * sizeof(float)), 0)
+      << "seed " << seed << " n " << n << " mean " << mean << " stddev "
+      << stddev << " spare " << spare_on_entry;
+  EXPECT_EQ(rng_state(batched), rng_state(scalar))
+      << "seed " << seed << " n " << n << " spare " << spare_on_entry;
+}
+
+TEST(Rng, NormalsF32MatchesScalarNormal) {
+  const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 16, 17, 18, 511, 512, 513,
+                               1030, 4097};
+  const double moments[][2] = {
+      {0.0, 1.0}, {0.0, 0.02}, {2.5, 0.5}, {-1e3, 3.0}, {0.1, 1e-6},
+      {1e-30, 1e-30}, {0.0, -4.0}, {0.0, 1e-39}, {0.0, 1e38}};
+  std::uint64_t seed = 1;
+  for (const std::size_t n : sizes)
+    for (const auto& m : moments)
+      for (const bool spare : {false, true})
+        expect_normals_match(seed++, n, m[0], m[1], spare);
+
+  // Over 10^7 draws in uneven calls, so calls start with and without a
+  // spare, against one continuing scalar stream.
+  Rng batched(99);
+  Rng scalar(99);
+  std::vector<float> got(1000003);
+  std::vector<float> want(got.size());
+  std::size_t draws = 0;
+  for (int call = 0; call < 10; ++call) {
+    const std::size_t n = got.size() - static_cast<std::size_t>(call % 2);
+    const double stddev = call < 5 ? 0.02 : 1.0;
+    batched.normals_f32(got.data(), n, 0.0, stddev);
+    for (std::size_t i = 0; i < n; ++i)
+      want[i] = static_cast<float>(scalar.normal(0.0, stddev));
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0)
+        << "call " << call;
+    draws += n;
+  }
+  EXPECT_GE(draws, 10000000u);
+  EXPECT_EQ(rng_state(batched), rng_state(scalar));
+}
+
+TEST(Rng, NormalsF32FastPathError) {
+  // box_muller_pairs against the scalar normal() pairs it stands in for:
+  // the error must stay within a quarter of what the guard assumes, in z
+  // and in x = mean + stddev z, and the NaN (scalar-path) lanes are rare.
+  constexpr std::size_t kPairs = 1 << 18;
+  Rng uniforms(2024);
+  std::vector<double> u1(kPairs), u2(kPairs), c(kPairs), s(kPairs);
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    double a = 0.0;
+    while (a <= 1e-300) a = uniforms.uniform();
+    u1[p] = a;
+    u2[p] = uniforms.uniform();
+  }
+  box_muller_pairs(u1.data(), u2.data(), kPairs, c.data(), s.data());
+  const double moments[][2] = {{0.0, 1.0}, {0.0, 0.02}, {2.5, 0.5}};
+  for (const auto& m : moments) {
+    Rng scalar(2024);
+    std::size_t nan_lanes = 0;
+    double worst = 0.0;
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      const double want_c = scalar.normal(m[0], m[1]);
+      const double want_s = scalar.normal(m[0], m[1]);
+      if (std::isnan(c[p])) {
+        EXPECT_TRUE(std::isnan(s[p]));
+        ++nan_lanes;
+        continue;
+      }
+      for (const auto& [z, want] : {std::pair{c[p], want_c},
+                                    std::pair{s[p], want_s}}) {
+        const double bound = std::abs(m[0]) + std::abs(m[1] * z);
+        worst = std::max(worst, std::abs(m[0] + m[1] * z - want) / bound);
+      }
+    }
+    EXPECT_LE(worst, kNormalsGuardTolerance / 4) << "mean " << m[0];
+    EXPECT_LT(nan_lanes, kPairs / 10000) << "mean " << m[0];
+  }
+}
+
+TEST(Rng, NormalsF32GuardCatchesFloatTies) {
+  // Inputs built to sit on a float rounding tie: mean = M - z for the
+  // first pair's scalar z, with M halfway between 1 and the next float.
+  // Where the fast z differs from the scalar z in the last bits, x lands
+  // on the other side of M, and only the guard keeps the float right.
+  constexpr double kTie = 1.0 + 0x1p-24;
+  int unguarded_misses = 0;
+  for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+    Rng probe(seed);
+    const double z = probe.normal();
+    const double mean = kTie - z;
+    Rng scalar(seed);
+    const float want = static_cast<float>(scalar.normal(mean, 1.0));
+
+    Rng uniforms(seed);
+    double u1[8] = {}, u2[8] = {}, c[8] = {}, s[8] = {};
+    for (int p = 0; p < 8; ++p) {
+      while (u1[p] <= 1e-300) u1[p] = uniforms.uniform();
+      u2[p] = uniforms.uniform();
+    }
+    box_muller_pairs(u1, u2, 8, c, s);
+    if (!std::isnan(c[0]) && static_cast<float>(mean + c[0]) != want)
+      ++unguarded_misses;
+
+    expect_normals_match(seed, 16, mean, 1.0, false);
+  }
+  // The fast path alone rounds some of these to the wrong float.
+  EXPECT_GT(unguarded_misses, 0);
 }
 
 TEST(Rng, IndexUnbiasedOverSmallRange) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/gemm.h"
@@ -175,6 +178,30 @@ TEST(Tensor, RandnStatistics) {
   Rng rng(1);
   Tensor t = Tensor::randn({10000}, rng, 2.0F, 0.5F);
   EXPECT_NEAR(t.mean(), 2.0F, 0.05F);
+}
+
+TEST(Tensor, RandnMatchesScalarNormalLoop) {
+  // randn fills through Rng::normals_f32; every float and the generator
+  // state after it must equal the per-element float(normal(mean, stddev))
+  // loop it replaced.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {1}, {2}, {3, 5}, {1001}, {64, 33}, {2, 3, 4, 5}};
+  const float moments[][2] = {{0.0F, 1.0F}, {2.0F, 0.5F}, {-0.3F, 0.07F}};
+  std::uint64_t seed = 1;
+  for (const auto& shape : shapes) {
+    for (const auto& m : moments) {
+      Rng rng(seed);
+      Rng ref(seed);
+      ++seed;
+      const Tensor t = Tensor::randn(shape, rng, m[0], m[1]);
+      std::vector<float> want(t.size());
+      for (auto& v : want) v = static_cast<float>(ref.normal(m[0], m[1]));
+      EXPECT_EQ(std::memcmp(t.data(), want.data(), want.size() * sizeof(float)),
+                0)
+          << "numel " << t.size() << " mean " << m[0];
+      EXPECT_EQ(rng.normal(), ref.normal());
+    }
+  }
 }
 
 TEST(Tensor, SaveLoadRoundTrip) {

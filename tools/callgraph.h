@@ -232,6 +232,43 @@ inline HeadInfo parse_head(const std::string& stmt,
   return info;
 }
 
+// True when a '{' following the scope-level statement `stmt` opens a brace
+// inside a constructor's mem-initializer list — `x_{n} {` or
+// `x_(n, T{0}) {` — rather than the function body: a lone ':' follows the
+// parameter list, and the initializer after it is still open (inside
+// parentheses, or right after the name it initializes).
+inline bool opens_initializer_brace(const std::string& stmt) {
+  const std::string cleaned = blank_template_args(stmt);
+  std::size_t i = cleaned.find('(');
+  if (i == std::string::npos) return false;
+  int paren = 0;
+  for (; i < cleaned.size(); ++i) {
+    if (cleaned[i] == '(') ++paren;
+    if (cleaned[i] == ')' && --paren == 0) break;
+  }
+  std::size_t colon = std::string::npos;
+  for (std::size_t j = i + 1; j < cleaned.size() && colon == std::string::npos;
+       ++j) {
+    if (cleaned[j] == '(') ++paren;
+    if (cleaned[j] == ')') --paren;
+    if (cleaned[j] != ':' || paren != 0) continue;
+    if (j + 1 < cleaned.size() && cleaned[j + 1] == ':')
+      ++j;  // a '::' qualifier
+    else
+      colon = j;
+  }
+  if (colon == std::string::npos) return false;
+  int nest = 0;
+  for (std::size_t j = colon + 1; j < cleaned.size(); ++j) {
+    if (cleaned[j] == '(' || cleaned[j] == '{') ++nest;
+    if (cleaned[j] == ')' || cleaned[j] == '}') --nest;
+  }
+  if (nest > 0) return true;
+  const std::size_t last = cleaned.find_last_not_of(" \t");
+  const char c = cleaned[last];
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '>';
+}
+
 // Literal and non-literal env-knob read sites, for the tools' env rules.
 inline void index_env_sites(SourceFile& file) {
   static const std::regex lit_re(
@@ -366,6 +403,7 @@ class ScopeScanner {
     std::string stmt;
     std::size_t stmt_line = 0;
     bool continuation = false;
+    int init_braces = 0;  // open mem-initializer braces, part of stmt
 
     std::string t;  // hoisted per-line scratch
     for (std::size_t i = 0; i < out_.code.size(); ++i) {
@@ -389,6 +427,11 @@ class ScopeScanner {
             (top.kind == Scope::kNamespace || top.kind == Scope::kRecord) &&
             depth == top.depth;
 
+        if (init_braces > 0 && (ch == '{' || ch == '}')) {
+          init_braces += ch == '{' ? 1 : -1;
+          stmt.push_back(ch);
+          continue;
+        }
         if (ch == '{') {
           if (have_pending && pending.kind == Declarator::kNamespace) {
             ++depth;
@@ -405,6 +448,9 @@ class ScopeScanner {
             stack.push_back({Scope::kBlock, pending.name, depth, SIZE_MAX});
             have_pending = false;
             stmt.clear();
+          } else if (at_scope_stmt_level && opens_initializer_brace(stmt)) {
+            init_braces = 1;
+            stmt.push_back(ch);
           } else if (at_scope_stmt_level) {
             const HeadInfo head = parse_head(stmt, tokens_);
             ++depth;
@@ -440,7 +486,7 @@ class ScopeScanner {
           if (depth > 0) --depth;
           continue;
         }
-        if (ch == ';' && at_scope_stmt_level) {
+        if (ch == ';' && at_scope_stmt_level && init_braces == 0) {
           have_pending = false;
           record_declaration(stmt, stack);
           stmt.clear();
