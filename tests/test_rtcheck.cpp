@@ -45,7 +45,14 @@ RunResult run(const std::string& cmd) {
   return r;
 }
 
-std::string q(const fs::path& p) { return "\"" + p.string() + "\""; }
+// Quoted for the shell. Built by appending: GCC 12 reports a false
+// -Wrestrict overlap on "\"" + s + "\"", which breaks -Werror builds.
+std::string q(const fs::path& p) {
+  std::string quoted(1, '"');
+  quoted += p.string();
+  quoted += '"';
+  return quoted;
+}
 
 const fs::path kRoot = MMHAR_REPO_ROOT;
 const std::string kRtcheck = std::string("\"") + MMHAR_RTCHECK_BIN + "\"";
