@@ -18,6 +18,9 @@
 //        --ratios-only mode (machine-portable, unlike absolute rates;
 //        ~1.0 on a single-core runner by construction).
 //      - shards_active — shards that actually claimed frames.
+//      - cnn_reuse_share — share of window frames whose cached CNN
+//        features were reused (ShardStats::cnn_frames_reused over
+//        computed + reused) instead of run through the CNN again.
 //    Every row cross-checks stream 0's predictions against the offline
 //    baseline, so the sweep doubles as a shard-invariance check.
 //
@@ -130,6 +133,7 @@ double run_baseline(har::HarModel& model, const serving::ServingConfig& cfg,
 struct ThroughputResult {
   double cps = 0.0;
   std::size_t shards_active = 0;
+  double cnn_reuse_share = 0.0;
 };
 
 // Sharded service on the same frame schedule, lossless: kNewest policy
@@ -193,14 +197,24 @@ ThroughputResult run_serving_throughput(har::HarModel& model,
 
   ThroughputResult r;
   r.cps = static_cast<double>(collected) / elapsed;
+  std::uint64_t computed = 0;
+  std::uint64_t reused = 0;
   for (std::size_t i = 0; i < num_shards; ++i) {
     const serving::ShardStats st = svc.shard_stats(i);
     if (st.frames > 0) ++r.shards_active;
-    std::printf("    shard %zu: %llu cycles, %llu frames, %llu cls\n", i,
-                static_cast<unsigned long long>(st.cycles),
+    computed += st.cnn_frames_computed;
+    reused += st.cnn_frames_reused;
+    std::printf("    shard %zu: %llu cycles, %llu frames, %llu cls, "
+                "%llu CNN frames computed, %llu reused\n",
+                i, static_cast<unsigned long long>(st.cycles),
                 static_cast<unsigned long long>(st.frames),
-                static_cast<unsigned long long>(st.classifications));
+                static_cast<unsigned long long>(st.classifications),
+                static_cast<unsigned long long>(st.cnn_frames_computed),
+                static_cast<unsigned long long>(st.cnn_frames_reused));
   }
+  if (computed + reused > 0)
+    r.cnn_reuse_share = static_cast<double>(reused) /
+                        static_cast<double>(computed + reused);
   return r;
 }
 
@@ -392,14 +406,15 @@ int main(int argc, char** argv) {
                    ",\n  \"N%zu_S%zu\": {"
                    "\"baseline_classifications_per_sec\": %.2f, "
                    "\"classifications_per_sec\": %.2f, \"speedup\": %.2f, "
-                   "\"shard_speedup\": %.3f, \"shards_active\": %zu}",
+                   "\"shard_speedup\": %.3f, \"shards_active\": %zu, "
+                   "\"cnn_reuse_share\": %.3f}",
                    n_streams, n_shards, base_cps, tr.cps, speedup,
-                   shard_speedup, tr.shards_active);
+                   shard_speedup, tr.shards_active, tr.cnn_reuse_share);
       std::printf(
           "  baseline %.1f cls/s, serving %.1f cls/s (%.2fx offline, "
-          "%.2fx vs S=%zu), %zu shard(s) active\n",
+          "%.2fx vs S=%zu), %zu shard(s) active, CNN reuse %.1f%%\n",
           base_cps, tr.cps, speedup, shard_speedup, shard_counts.front(),
-          tr.shards_active);
+          tr.shards_active, 100.0 * tr.cnn_reuse_share);
     }
     const LatencyResult lat =
         run_latency(model, cfg, pool, n_streams, latency_shards,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "har/infer.h"
 
 namespace mmhar::core {
 
@@ -18,10 +19,23 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
   const auto& mc = surrogate_.config();
   const std::size_t frames = mc.frames;
 
+  // Per-frame CNN features l_θ(h(·)) of a [T, H, W] heatmap sequence, all
+  // on one inference plan.
+  const har::InferencePlan plan = har::build_inference_plan(surrogate_);
+  har::InferenceScratch scratch;
+  const auto extract = [&](const Tensor& heatmaps, std::vector<float>& out) {
+    MMHAR_CHECK(heatmaps.rank() == 3 && heatmaps.dim(0) == frames &&
+                heatmaps.dim(1) == mc.height && heatmaps.dim(2) == mc.width);
+    out.resize(frames * mc.feature_dim);
+    har::infer_frame_features(plan, scratch, heatmaps.data(), frames,
+                              out.data());
+  };
+
   // Clean reference: heatmaps and per-frame features.
   const Tensor clean = generator_.generate(spec);
-  MMHAR_CHECK(clean.dim(0) == frames);
-  const Tensor clean_features = surrogate_.frame_features(clean);
+  std::vector<float> clean_features;
+  extract(clean, clean_features);
+  std::vector<float> triggered_features;
 
   const mesh::HumanBody body(
       mesh::BodyParams::participant(spec.participant));
@@ -35,7 +49,7 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
     placement.local_normal = body.anchor_normal(anchor);
 
     const Tensor triggered = generator_.generate(spec, &placement);
-    const Tensor triggered_features = surrogate_.frame_features(triggered);
+    extract(triggered, triggered_features);
 
     AnchorEvaluation e;
     e.anchor = anchor;

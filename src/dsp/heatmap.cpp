@@ -48,6 +48,7 @@ DraiStages::DraiStages(std::size_t num_chirps, std::size_t num_antennas,
       num_antennas_(num_antennas),
       range_bins_(cfg.range_bins),
       angle_bins_(cfg.angle_bins),
+      doppler_bins_(cfg.doppler_bins == 0 ? num_chirps : cfg.doppler_bins),
       log_scale_(cfg.log_scale),
       normalize_(cfg.normalize),
       db_floor_(cfg.db_floor) {
@@ -78,6 +79,16 @@ DraiStages::DraiStages(std::size_t num_chirps, std::size_t num_antennas,
   angle_job_.in_elem_stride = range_bins_;
   angle_job_.reps = num_chirps;
   angle_job_.in_rep_stride = num_antennas * range_bins_;
+
+  // Doppler stage: one windowed transform along the chirp axis per range
+  // bin, with the antenna axis as the accumulation axis.
+  doppler_job_.n = doppler_bins_;
+  doppler_job_.in_len = num_chirps;
+  doppler_job_.window = cached_window(cfg.doppler_window, num_chirps).data();
+  doppler_job_.in_lane_stride = 1;
+  doppler_job_.in_elem_stride = num_antennas * range_bins_;
+  doppler_job_.reps = num_antennas;
+  doppler_job_.in_rep_stride = range_bins_;
 }
 
 void DraiStages::range_stage(std::span<const FftManyIo> ios) const {
@@ -88,24 +99,64 @@ void DraiStages::angle_stage(std::span<const FftManyMagIo> ios) const {
   fft_many_mag_accum_multi(angle_job_, /*shift=*/true, ios, angle_bins_, 1);
 }
 
-void DraiStages::window_tail(float* block, std::size_t frames) const {
+void DraiStages::doppler_stage(const cfloat* spectra, std::size_t r_lo,
+                               std::size_t r_hi, float* out,
+                               std::size_t r_stride,
+                               std::size_t d_stride) const {
+  MMHAR_REQUIRE(is_power_of_two(doppler_bins_) && doppler_bins_ >= num_chirps_,
+                "doppler_bins must be a power of two >= num_chirps");
+  MMHAR_REQUIRE(r_lo < r_hi && r_hi <= range_bins_,
+                "Doppler range gate outside the cropped range window");
+  FftManyJob job = doppler_job_;
+  job.lanes = r_hi - r_lo;
+  const FftManyMagIo io{spectra + r_lo, out};
+  fft_many_mag_accum_multi(job, /*shift=*/true,
+                           std::span<const FftManyMagIo>(&io, 1), r_stride,
+                           d_stride);
+}
+
+void DraiStages::to_db(float* block, std::size_t frames) const {
+  if (!log_scale_) return;
   const std::size_t n = frames * drai_elems();
-  if (n == 0) return;
-  if (log_scale_) {
-    for (std::size_t i = 0; i < n; ++i)
-      block[i] = 20.0F * std::log10(std::max(block[i], db_floor_));
-  }
-  if (normalize_) {
-    const float lo = *std::min_element(block, block + n);
-    const float hi = *std::max_element(block, block + n);
-    const float range = hi - lo;
-    if (range <= 0.0F) {
-      std::fill(block, block + n, 0.0F);
-    } else {
-      const float inv = 1.0F / range;
-      for (std::size_t i = 0; i < n; ++i) block[i] = (block[i] - lo) * inv;
+  for (std::size_t i = 0; i < n; ++i)
+    block[i] = 20.0F * std::log10(std::max(block[i], db_floor_));
+}
+
+DraiRange DraiStages::window_range(const float* ring, std::size_t frames,
+                                   std::size_t oldest) const {
+  DraiRange r;
+  if (!normalize_ || frames == 0) return r;
+  const std::size_t hw = drai_elems();
+  r.lo = r.hi = ring[oldest * hw];
+  for (std::size_t k = 0; k < frames; ++k) {
+    const float* f = ring + ((oldest + k) % frames) * hw;
+    for (std::size_t i = 0; i < hw; ++i) {
+      if (f[i] < r.lo) r.lo = f[i];
+      if (r.hi < f[i]) r.hi = f[i];
     }
   }
+  return r;
+}
+
+void DraiStages::normalize(const float* src, std::size_t frames,
+                           DraiRange range, float* dst) const {
+  const std::size_t n = frames * drai_elems();
+  if (!normalize_) {
+    if (dst != src) std::copy(src, src + n, dst);
+    return;
+  }
+  const float span = range.hi - range.lo;
+  if (span <= 0.0F) {
+    std::fill(dst, dst + n, 0.0F);
+  } else {
+    const float inv = 1.0F / span;
+    for (std::size_t i = 0; i < n; ++i) dst[i] = (src[i] - range.lo) * inv;
+  }
+}
+
+void DraiStages::window_tail(float* block, std::size_t frames) const {
+  to_db(block, frames);
+  normalize(block, frames, window_range(block, frames, 0), block);
 }
 
 namespace {
@@ -182,30 +233,12 @@ void range_fft(const RadarCube& cube, const HeatmapConfig& cfg,
 }
 
 Tensor compute_rdi(const RadarCube& cube, const HeatmapConfig& cfg) {
-  RangeSpectra spectra;
-  range_fft(cube, cfg, spectra);
-  const std::size_t q_total = spectra.num_chirps;
-  const std::size_t d_bins = cfg.doppler_bins == 0 ? q_total : cfg.doppler_bins;
-  MMHAR_REQUIRE(is_power_of_two(d_bins) && d_bins >= q_total,
-                "doppler_bins must be a power of two >= num_chirps");
-
-  // Doppler FFT along the chirp axis: one transform per (antenna, range)
-  // cell; the antenna axis folds as the engine's accumulation dimension.
-  Tensor rdi({d_bins, spectra.range_bins});
-  FftManyJob job;
-  job.n = d_bins;
-  job.in_len = q_total;
-  job.window = cached_window(cfg.doppler_window, q_total).data();
-  job.lanes = spectra.range_bins;
-  job.in_lane_stride = 1;
-  job.in_elem_stride = spectra.num_antennas * spectra.range_bins;
-  job.reps = spectra.num_antennas;
-  job.in_rep_stride = spectra.range_bins;
-  const FftManyMagIo io{spectra.data.data(), rdi.data()};
-  fft_many_mag_accum_multi(job, /*shift=*/true,
-                           std::span<const FftManyMagIo>(&io, 1), 1,
-                           spectra.range_bins);
-
+  const DraiStages stages = stages_for(cube, cfg);
+  std::vector<cfloat> spectra(stages.spectra_elems());
+  frame_spectra(stages, cfg, cube, spectra.data());
+  Tensor rdi({stages.doppler_bins(), cfg.range_bins});
+  stages.doppler_stage(spectra.data(), 0, cfg.range_bins, rdi.data(), 1,
+                       cfg.range_bins);
   Tensor out = cfg.normalize ? normalize01(rdi) : std::move(rdi);
   check_finite(out.flat(), "RDI", "compute_rdi");
   return out;
@@ -268,9 +301,12 @@ Tensor compute_drai_sequence(const std::vector<RadarCube>& frames,
           frame_spectra(stages, cfg, frames[f], spectra.data());
           const FftManyMagIo io{spectra.data(), seq_base + f * hw};
           stages.angle_stage(std::span<const FftManyMagIo>(&io, 1));
+          stages.to_db(seq_base + f * hw, 1);
         }
       });
-  stages.window_tail(seq_base, num_frames);
+  // The split window tail, as the serving cycle runs it.
+  stages.normalize(seq_base, num_frames,
+                   stages.window_range(seq_base, num_frames, 0), seq_base);
   check_finite(seq.flat(), "DRAI-sequence", "compute_drai_sequence");
   return seq;
 }

@@ -81,12 +81,23 @@ struct RangeSpectra {
   }
 };
 
-/// The DRAI signal path (paper §II-A) as three stage functions, built once
-/// for one frame geometry and HeatmapConfig. Every DRAI in the repo — the
+/// The min-max range a DRAI window is normalized with: lo and hi of the
+/// window's values after dB conversion. {0, 0} when normalize is off.
+struct DraiRange {
+  float lo = 0.0F;
+  float hi = 0.0F;
+};
+
+/// The DRAI signal path (paper §II-A) as stage functions, built once for
+/// one frame geometry and HeatmapConfig. Every DRAI in the repo — the
 /// offline sequence and single-frame builders and the serving cycle — runs
 /// through these functions, so offline and streaming heatmaps are the same
 /// floats. Static clutter removal sits between the range and the angle
-/// stage (remove_static_clutter_serial).
+/// stage (remove_static_clutter_serial). The window tail is split in three
+/// steps — to_db per frame, window_range over the window, normalize per
+/// frame — so a caller that keeps per-frame results learns the exact
+/// (lo, hi) a window is normalized with. The Doppler stage serves the RDI
+/// and micro-Doppler builders.
 ///
 /// Buffers: a frame is a RadarCube's raw() layout [chirp][antenna][sample];
 /// its range spectra are [chirp][antenna][range_bin] (spectra_elems()
@@ -103,6 +114,7 @@ class DraiStages {
     return num_chirps_ * num_antennas_ * range_bins_;
   }
   std::size_t drai_elems() const { return range_bins_ * angle_bins_; }
+  std::size_t doppler_bins() const { return doppler_bins_; }
 
   /// Range stage: windowed Range-FFT cropped to range_bins for every frame
   /// in `ios` (in = frame samples, out = its range spectra), in one engine
@@ -113,9 +125,34 @@ class DraiStages {
   /// chirps for every frame in `ios` (in = range spectra, out = raw DRAI).
   void angle_stage(std::span<const FftManyMagIo> ios) const MMHAR_REALTIME;
 
-  /// Window tail, in place over `frames` consecutive raw DRAIs (a
-  /// [T, range, angle] block): dB conversion when log_scale, then min-max
-  /// normalization over the whole block when normalize.
+  /// Doppler stage over one frame's range spectra: windowed, zero-padded
+  /// Doppler-FFT along the chirp axis, fftshift, and |.| summed over
+  /// antennas, for range bins [r_lo, r_hi). Bin d of range bin r lands at
+  /// out[(r - r_lo) * r_stride + d * d_stride]. Throws unless doppler_bins
+  /// is a power of two >= num_chirps and r_lo < r_hi <= range_bins.
+  void doppler_stage(const cfloat* spectra, std::size_t r_lo,
+                     std::size_t r_hi, float* out, std::size_t r_stride,
+                     std::size_t d_stride) const;
+
+  /// Window tail, step 1, in place over `frames` raw DRAIs: dB conversion
+  /// when log_scale. Elementwise, so per frame or per block is the same.
+  void to_db(float* block, std::size_t frames) const MMHAR_REALTIME;
+
+  /// Window tail, step 2: min and max over a ring of `frames` DRAIs (after
+  /// to_db), scanned oldest first from frame `oldest`, wrapping — the
+  /// order and the first-min / first-max comparisons of std::min_element
+  /// and std::max_element over the unrolled window.
+  DraiRange window_range(const float* ring, std::size_t frames,
+                         std::size_t oldest) const MMHAR_REALTIME;
+
+  /// Window tail, step 3: dst = (src - lo) * (1 / (hi - lo)) over `frames`
+  /// DRAIs, zeros when hi - lo <= 0, a copy when normalize is off. `dst`
+  /// may equal `src`.
+  void normalize(const float* src, std::size_t frames, DraiRange range,
+                 float* dst) const MMHAR_REALTIME;
+
+  /// The whole window tail in place over a [T, range, angle] block:
+  /// to_db, then window_range and normalize over the block.
   void window_tail(float* block, std::size_t frames) const MMHAR_REALTIME;
 
  private:
@@ -123,11 +160,13 @@ class DraiStages {
   std::size_t num_antennas_;
   std::size_t range_bins_;
   std::size_t angle_bins_;
+  std::size_t doppler_bins_;
   bool log_scale_;
   bool normalize_;
   float db_floor_;
   FftManyJob range_job_;
   FftManyJob angle_job_;
+  FftManyJob doppler_job_;  ///< lanes set per call (the range gate)
 };
 
 /// Stage 1+2 for one frame: windowed Range-FFT and (optionally) static

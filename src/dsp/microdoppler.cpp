@@ -15,37 +15,23 @@ Tensor doppler_spectrum(const RadarCube& cube,
   HeatmapConfig hm;
   hm.range_bins = std::min(config.range_bins, cube.num_samples());
   hm.remove_clutter = config.remove_clutter;
+  hm.doppler_bins = config.doppler_bins;
+  hm.doppler_window = config.window;
   RangeSpectra spectra;
   range_fft(cube, hm, spectra);
-
-  const std::size_t q_total = spectra.num_chirps;
-  const std::size_t d_bins =
-      config.doppler_bins == 0 ? q_total : config.doppler_bins;
-  MMHAR_REQUIRE(is_power_of_two(d_bins) && d_bins >= q_total,
-                "doppler_bins must be a power of two >= num_chirps");
+  const DraiStages stages(cube.num_chirps(), cube.num_antennas(),
+                          cube.num_samples(), hm);
+  const std::size_t d_bins = stages.doppler_bins();
   const std::size_t r_lo = config.min_range_bin;
   const std::size_t r_hi = std::min(config.max_range_bin, spectra.range_bins);
   MMHAR_REQUIRE(r_lo < r_hi, "range gate outside the cropped range window");
 
-  // Batched Doppler FFT over the range gate: one transform per gated range
-  // bin, antennas folded as the engine's accumulation axis. The per-bin
-  // shifted magnitudes land in `gated` and are reduced serially so the
-  // result is deterministic.
+  // Doppler stage over the range gate, one [range_bin][doppler] row per
+  // gated bin, reduced serially so the result is deterministic.
   const std::size_t nr = r_hi - r_lo;
-  FftManyJob job;
-  job.n = d_bins;
-  job.in_len = q_total;
-  job.window = cached_window(config.window, q_total).data();
-  job.lanes = nr;
-  job.in_lane_stride = 1;
-  job.in_elem_stride = spectra.num_antennas * spectra.range_bins;
-  job.reps = spectra.num_antennas;
-  job.in_rep_stride = spectra.range_bins;
   Tensor gated({nr, d_bins});
-  MMHAR_CHECK(r_hi <= spectra.range_bins);
-  const FftManyMagIo io{spectra.data.data() + r_lo, gated.data()};
-  fft_many_mag_accum_multi(job, /*shift=*/true,
-                           std::span<const FftManyMagIo>(&io, 1), d_bins, 1);
+  stages.doppler_stage(spectra.data.data(), r_lo, r_hi, gated.data(), d_bins,
+                       1);
 
   Tensor spectrum({d_bins});
   for (std::size_t r = 0; r < nr; ++r)

@@ -155,18 +155,23 @@ InferencePlan build_inference_plan(HarModel& model) {
 
 void InferenceScratch::reserve(const InferencePlan& plan,
                                std::size_t max_batch) {
+  const std::size_t n = max_batch * plan.config.frames;
+  reserve_features(plan, n);
+  grow(feats, n * plan.config.feature_dim);
+  reserve_classifier(plan, max_batch);
+}
+
+void InferenceScratch::reserve_features(const InferencePlan& plan,
+                                        std::size_t max_frames) {
   const HarModelConfig& cfg = plan.config;
-  const std::size_t n = max_batch * cfg.frames;
   const std::size_t fan1 = 1 * kConv1Kernel * kConv1Kernel;
   const std::size_t fan2 = cfg.conv1_channels * kConv2Kernel * kConv2Kernel;
   const std::size_t o1 = plan.h1 * plan.w1;
   const std::size_t o2 = plan.h2 * plan.w2;
   grow(col, std::max(fan1 * o1, fan2 * o2));
-  grow(act1, n * cfg.conv1_channels * o1);
-  grow(act2, n * cfg.conv2_channels * o2);
-  grow(pooled, n * plan.spatial);
-  grow(feats, n * cfg.feature_dim);
-  reserve_classifier(plan, max_batch);
+  grow(act1, max_frames * cfg.conv1_channels * o1);
+  grow(act2, max_frames * cfg.conv2_channels * o2);
+  grow(pooled, max_frames * plan.spatial);
 }
 
 void InferenceScratch::reserve_classifier(const InferencePlan& plan,
@@ -183,23 +188,34 @@ void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
   MMHAR_REQUIRE(input != nullptr && logits != nullptr && batch > 0,
                 "infer_forward: null buffers or empty batch");
   scratch.reserve(plan, batch);  // no-op once warmed
+  // The per-frame CNN over the merged batch*time axis, exactly as
+  // HarModel::forward runs it; its [b][t][F] rows are already the LSTM's
+  // [batch, T, F] series.
+  infer_frame_features(plan, scratch, input, batch * plan.config.frames,
+                       scratch.feats.data());
+  infer_classify_features(plan, scratch, scratch.feats.data(), batch, logits);
+}
+
+void infer_frame_features(const InferencePlan& plan, InferenceScratch& scratch,
+                          const float* frames, std::size_t n,
+                          float* features) {
+  MMHAR_REQUIRE(frames != nullptr && features != nullptr && n > 0,
+                "infer_frame_features: null buffers or no frames");
+  scratch.reserve_features(plan, n);  // no-op once warmed
   const HarModelConfig& cfg = plan.config;
-  const std::size_t n = batch * cfg.frames;
   const std::size_t o2 = plan.h2 * plan.w2;
   const std::size_t f_dim = cfg.feature_dim;
 
-  // Per-frame CNN over the merged batch*time axis, exactly as
-  // HarModel::forward runs it.
   float* const act1 = scratch.act1.data();
   float* const act2 = scratch.act2.data();
-  conv_relu(plan.conv1_w, plan.conv1_b.data(), cfg.conv1_channels, input, n,
+  conv_relu(plan.conv1_w, plan.conv1_b.data(), cfg.conv1_channels, frames, n,
             1, cfg.height, cfg.width, kConv1Kernel, kConv1Stride, kConv1Pad,
             scratch.col.data(), act1);
   conv_relu(plan.conv2_w, plan.conv2_b.data(), cfg.conv2_channels, act1, n,
             cfg.conv1_channels, plan.h1, plan.w1, kConv2Kernel, kConv2Stride,
             kConv2Pad, scratch.col.data(), act2);
 
-  // 2x2 max pool, then the flatten is just the [N, spatial] view. Scan
+  // 2x2 max pool, then the flatten is just the [n, spatial] view. Scan
   // order and the strict `>` tie-break match MaxPool2D::forward.
   float* const pooled = scratch.pooled.data();
   const std::size_t planes = n * cfg.conv2_channels;
@@ -221,20 +237,16 @@ void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
     }
   }
 
-  // Feature Dense + ReLU: y = x W^T + b over all N frames at once.
-  float* const feats = scratch.feats.data();
-  sgemm_packed_b(n, 1.0F, pooled, plan.fc_w, 0.0F, feats);
+  // Feature Dense + ReLU: y = x W^T + b over all n frames at once.
+  sgemm_packed_b(n, 1.0F, pooled, plan.fc_w, 0.0F, features);
   const float* const fc_b = plan.fc_b.data();
   for (std::size_t r = 0; r < n; ++r) {
-    float* row = feats + r * f_dim;
+    float* row = features + r * f_dim;
     for (std::size_t j = 0; j < f_dim; ++j) {
       const float v = row[j] + fc_b[j];
       row[j] = v > 0.0F ? v : 0.0F;
     }
   }
-
-  // feats is already laid out [b][t][F]: the LSTM's [batch, T, F] series.
-  infer_classify_features(plan, scratch, feats, batch, logits);
 }
 
 void infer_classify_features(const InferencePlan& plan,

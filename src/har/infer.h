@@ -20,8 +20,11 @@
 // orders, same gate math — so its logits are bit-identical to the
 // training model's for any micro-batch composition (no GEMM in this path
 // has a batch-size-dependent fast path; every output row's arithmetic is
-// independent of the other rows in the batch). Its LSTM and head are
-// infer_classify_features, which SHAP's coalition batches also run.
+// independent of the other rows in the batch). It is two halves that run
+// on their own too: infer_frame_features (the per-frame CNN, which SHAP,
+// the Eq.-2 position scorer and the serving feature cache run) and
+// infer_classify_features (the LSTM and head, which SHAP's coalition
+// batches and the serving cycle run).
 #pragma once
 
 #include <cstddef>
@@ -60,14 +63,16 @@ struct InferencePlan {
 /// model afterwards: training the model further does not change it.
 InferencePlan build_inference_plan(HarModel& model);
 
-/// Grow-once working buffers for infer_forward. Safe to reuse across
-/// calls from one thread; never shared between concurrent callers.
+/// Grow-once working buffers for the inference entry points. Safe to
+/// reuse across calls from one thread; never shared between concurrent
+/// callers. The CNN buffers cover the frames of one infer_frame_features
+/// call (N = batch * T inside infer_forward).
 struct InferenceScratch {
   std::vector<float> col;     ///< im2col panel for one frame
   std::vector<float> act1;    ///< conv1 output [N, c1, h1, w1]
   std::vector<float> act2;    ///< conv2 output [N, c2, h2, w2]
   std::vector<float> pooled;  ///< pool/flatten output [N, spatial]
-  std::vector<float> feats;   ///< per-frame features [N, F]
+  std::vector<float> feats;   ///< infer_forward's feature series [N, F]
   std::vector<float> x_step;  ///< LSTM input gather [K, F]
   std::vector<float> z;       ///< LSTM pre-activations [K, 4H]
   std::vector<float> h;       ///< LSTM hidden state [K, H]
@@ -77,18 +82,34 @@ struct InferenceScratch {
   /// any batch <= max_batch then allocate nothing.
   void reserve(const InferencePlan& plan, std::size_t max_batch);
 
+  /// Grow only the CNN buffers infer_frame_features uses, for calls of up
+  /// to `max_frames` frames.
+  void reserve_features(const InferencePlan& plan, std::size_t max_frames);
+
   /// Grow only the LSTM/head buffers infer_classify_features uses.
   void reserve_classifier(const InferencePlan& plan, std::size_t max_batch);
 };
 
 /// Micro-batched forward: input [batch, T, H, W] (flat, row-major) ->
-/// logits [batch, C]. Runs entirely on the calling thread; zero heap
+/// logits [batch, C]; infer_frame_features over the batch*T frames, then
+/// infer_classify_features. Runs entirely on the calling thread; zero heap
 /// allocations once `scratch` covers `batch`. Bit-identical to
 /// HarModel::forward(input, /*training=*/false) on the weights the plan
 /// was built from.
 void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
                    const float* input, std::size_t batch,
                    float* logits) MMHAR_REALTIME MMHAR_DETERMINISTIC;
+
+/// Per-frame CNN feature extractor l_θ: frames [n, H, W] (flat,
+/// row-major) -> features [n, F] (conv1, conv2, 2x2 pool, Dense + ReLU).
+/// Each feature row depends only on its own frame, so any split of a frame
+/// set into calls gives the same rows. Zero heap allocations once
+/// `scratch` covers n frames (reserve_features). Bit-identical, row by
+/// row, to HarModel::frame_features on the weights the plan was built
+/// from.
+void infer_frame_features(const InferencePlan& plan, InferenceScratch& scratch,
+                          const float* frames, std::size_t n,
+                          float* features) MMHAR_REALTIME MMHAR_DETERMINISTIC;
 
 /// LSTM + head over an explicit feature series: features [batch, T, F]
 /// (flat, row-major) -> logits [batch, C]. Zero heap allocations once

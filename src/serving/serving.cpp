@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 
 #include "common/check.h"
@@ -28,9 +29,17 @@ constexpr std::chrono::milliseconds kIdlePoll{100};
 // two cycles; a crash that leaked claimed frames never clears on its own).
 constexpr int kZeroConsumeClamp = 64;
 
-// Heartbeat-frozen-with-work-pending observations before the watchdog
-// declares a shard stalled and restarts it.
-constexpr int kStallStrikes = 3;
+// Longest a worker may spend in one wake-up before the watchdog declares
+// it stalled. A healthy cycle takes milliseconds (tens under sanitizers);
+// the budget is wall time, independent of the watchdog's cadence, so a
+// loaded host that merely delays a pass never reads as a stall.
+constexpr std::chrono::seconds kCycleBudget{2};
+
+std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             Clock::now().time_since_epoch())
+      .count();
+}
 
 // The containment idiom of every fused stage of a cycle (range FFT, angle
 // FFT, inference): run the fused call over all items; if it throws
@@ -142,6 +151,7 @@ struct Sched {
   CondVar cv;
   std::int64_t pending MMHAR_GUARDED_BY(mu) = 0;
   bool stop MMHAR_GUARDED_BY(mu) = false;
+  bool parked MMHAR_GUARDED_BY(mu) = false;  ///< wedged (serving.shard_stall)
 };
 
 struct StreamingHarService::Registry {
@@ -149,13 +159,33 @@ struct StreamingHarService::Registry {
   std::vector<std::unique_ptr<Stream>> streams MMHAR_GUARDED_BY(mu);
 };
 
-// Per-stream sliding window of the last T raw (pre-dB, pre-normalize)
-// DRAI frames, as a ring; `next` is the write position and, once filled,
-// also the oldest frame. Indexed by global stream id; written only by the
-// owning shard's cycle.
+// The normalization a stream's cached feature rows were computed under:
+// its model and the bits of its window's (lo, hi). Bits, not float ==:
+// -0.0 and +0.0 compare equal but give different bits for x - lo when
+// x = -0.0.
+struct FeatureKey {
+  std::size_t model = 0;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  bool valid = false;
+  bool operator==(const FeatureKey&) const = default;
+};
+
+// Per-stream sliding window of the last T DRAI frames (after the dB step,
+// before normalization), as a ring; `next` is the write position and,
+// once filled, also the oldest frame. Beside each ring slot sits the
+// CNN feature row of a frame normalized under `key`; a row is current
+// while `key` is valid and the row's feat_seq equals the slot's frame
+// seq. A key change rewrites all T rows, so every current row was
+// computed under the current key. Indexed by global stream id; written
+// only by the owning shard's cycle, and kept across shard restarts.
 struct StreamingHarService::WindowTable {
   struct StreamWindow {
-    std::vector<float> drai;
+    std::vector<float> drai;             ///< [T][R][A]
+    std::vector<std::uint64_t> seq;      ///< frame seq per ring slot
+    std::vector<float> feats;            ///< [T][F] cached feature rows
+    std::vector<std::uint64_t> feat_seq; ///< frame seq per feature row
+    FeatureKey key;                      ///< normalization of every row
     std::size_t next = 0;
     std::size_t filled = 0;
   };
@@ -185,6 +215,7 @@ struct StreamingHarService::Shard {
     std::size_t model = 0;
     std::uint64_t seq = 0;           ///< newest window frame
     Clock::time_point arrival;       ///< newest window frame submit time
+    dsp::DraiRange range;            ///< the window's min-max range
   };
 
   Sched sched;
@@ -197,13 +228,18 @@ struct StreamingHarService::Shard {
   std::atomic<std::uint64_t> stat_classifications{0};
   std::atomic<std::uint64_t> stat_deadline_dropped{0};
   std::atomic<std::uint64_t> stat_faults{0};
+  std::atomic<std::uint64_t> stat_cnn_computed{0};
+  std::atomic<std::uint64_t> stat_cnn_reused{0};
 
   // Supervision state. heartbeat is bumped by the worker once per
-  // wake-up; the watchdog compares epochs across its cadence. crashed is
-  // set (release) by a worker that caught an escaped exception and
-  // parked itself; stalled is a watchdog-owned diagnostic flag.
-  // stat_restarts counts supervised restarts (watchdog-written).
+  // wake-up; busy_since_ns is the steady-clock time the current wake-up
+  // began (0 while the worker waits), read by the watchdog against
+  // kCycleBudget. crashed is set (release) by a worker that caught an
+  // escaped exception and parked itself; stalled is a watchdog-owned
+  // diagnostic flag. stat_restarts counts supervised restarts
+  // (watchdog-written).
   std::atomic<std::uint64_t> heartbeat{0};
+  std::atomic<std::int64_t> busy_since_ns{0};
   std::atomic<bool> crashed{false};
   std::atomic<bool> stalled{false};
   std::atomic<std::uint64_t> stat_restarts{0};
@@ -217,9 +253,12 @@ struct StreamingHarService::Shard {
   std::vector<dsp::cfloat> spectra;      ///< per-round spectra arena
   std::vector<Job> jobs;                 ///< whole cycle; first n_jobs valid
   std::size_t n_jobs = 0;
-  std::vector<float> net_input;          ///< [jobs x T x R x A]
+  std::vector<float> series;             ///< feature series [jobs x T x F]
+  std::vector<float> chunk;              ///< normalized CNN input [T x R x A]
+  std::vector<float> chunk_feats;        ///< its feature rows [T x F]
+  std::vector<float*> chunk_rows;        ///< series row of each chunk frame
   std::vector<float> logits;             ///< [jobs x C]
-  std::vector<float> model_input;        ///< per-model gather [jobs x T x R x A]
+  std::vector<float> model_series;       ///< per-model gather, 2+ models only
   std::vector<float> model_logits;       ///< per-model logits [jobs x C]
   std::vector<std::size_t> model_rows;   ///< job index per gathered row
   std::vector<std::uint8_t> claim_dead;  ///< per-claim containment marks
@@ -288,6 +327,7 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
                 "ServingConfig: num_classes exceeds kMaxServingClasses");
 
   window_frames_ = mc.frames;
+  feature_dim_ = mc.feature_dim;
   num_classes_ = mc.num_classes;
   deadline_enabled_ = config.slo_ms > 0;
   deadline_budget_ = std::chrono::milliseconds(config.slo_ms);
@@ -299,10 +339,15 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
 
   const std::size_t hw = stages_.drai_elems();
   const std::size_t spectra_elems = stages_.spectra_elems();
+  const std::size_t series_len = window_frames_ * feature_dim_;
   windows_ = std::make_unique<WindowTable>();
   windows_->w.resize(config.max_streams);
-  for (WindowTable::StreamWindow& w : windows_->w)
+  for (WindowTable::StreamWindow& w : windows_->w) {
     w.drai.resize(window_frames_ * hw);
+    w.seq.resize(window_frames_, 0);
+    w.feats.resize(series_len);
+    w.feat_seq.resize(window_frames_, 0);
+  }
 
   shards_.reserve(config.num_shards);
   for (std::size_t i = 0; i < config.num_shards; ++i) {
@@ -314,14 +359,19 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
     sh->angle_ios.resize(config.batch_max);
     sh->spectra.resize(config.batch_max * spectra_elems);
     sh->jobs.resize(config.batch_max);
-    sh->net_input.resize(config.batch_max * window_frames_ * hw);
+    sh->series.resize(config.batch_max * series_len);
+    sh->chunk.resize(window_frames_ * hw);
+    sh->chunk_feats.resize(series_len);
+    sh->chunk_rows.resize(window_frames_, nullptr);
     sh->logits.resize(config.batch_max * num_classes_);
-    sh->model_input.resize(config.batch_max * window_frames_ * hw);
     sh->model_logits.resize(config.batch_max * num_classes_);
     sh->model_rows.resize(config.batch_max);
     sh->claim_dead.resize(config.batch_max, 0);
     sh->job_dead.resize(config.batch_max, 0);
-    sh->scratch.reserve(models_.plan(0), config.batch_max);
+    // The CNN runs one T-frame chunk at a time (batch 1 in the fallback);
+    // only the LSTM and head see a whole cycle's batch.
+    sh->scratch.reserve(models_.plan(0), 1);
+    sh->scratch.reserve_classifier(models_.plan(0), config.batch_max);
     shards_.push_back(std::move(sh));
   }
   watchdog_ = std::make_unique<WatchdogState>();
@@ -333,7 +383,11 @@ std::size_t StreamingHarService::add_model(har::HarModel& model) {
   MMHAR_REQUIRE(!started_,
                 "add_model: models must be registered before start() — "
                 "running shards read the registry lock-free");
-  return models_.add(model);
+  const std::size_t id = models_.add(model);
+  // Grouping rows by model needs a gather buffer from the second model on.
+  for (std::unique_ptr<Shard>& sh : shards_)
+    sh->model_series.resize(config_.batch_max * window_frames_ * feature_dim_);
+  return id;
 }
 
 std::size_t StreamingHarService::add_stream(std::size_t model_id) {
@@ -469,6 +523,8 @@ ShardStats StreamingHarService::shard_stats(std::size_t shard) const {
   st.classifications = sh.stat_classifications.load(std::memory_order_relaxed);
   st.deadline_dropped =
       sh.stat_deadline_dropped.load(std::memory_order_relaxed);
+  st.cnn_frames_computed = sh.stat_cnn_computed.load(std::memory_order_relaxed);
+  st.cnn_frames_reused = sh.stat_cnn_reused.load(std::memory_order_relaxed);
   return st;
 }
 
@@ -621,7 +677,9 @@ std::size_t StreamingHarService::quarantine_claims(Shard& sh,
 // stream, so a window slot written this round is never part of an
 // already-recorded job). Each DRAI stage runs once, fused across every
 // claimed frame, through the same dsp::DraiStages functions the offline
-// compute_drai_sequence uses.
+// compute_drai_sequence uses; the windows completed this round then get
+// their CNN features (round_features) while every frame of them is still
+// in its ring — a stream's next round overwrites its oldest frame.
 //
 // Containment: mmhar::Error at a fused DSP boundary degrades to
 // per-frame (batch-1) reruns (fused_or_each), so only the faulty frame is
@@ -722,40 +780,158 @@ void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
       },
       fault);
 
-  // Deferred window bookkeeping for the survivors; a clean frame that
-  // completes DSP without filling its window is this stream's recovery
-  // signal (jobs get theirs after clean logits in run_inference).
+  // Deferred window bookkeeping for the survivors: the frame's dB step,
+  // its seq in the ring, the ring advance. A clean frame that completes
+  // DSP without filling its window is this stream's recovery signal
+  // (jobs get theirs after clean logits in run_inference).
   const std::size_t round_job_start = sh.n_jobs;
   for (std::size_t i = 0; i < n_claims; ++i) {
     if (dead[i] != 0) continue;
     const Shard::Claim& cl = sh.claims[i];
     WindowTable::StreamWindow& w = windows_->w[cl.stream_id];
+    MMHAR_CHECK(w.drai.size() == wlen && w.next < window_frames_);
+    stages_.to_db(w.drai.data() + w.next * hw, 1);
+    w.seq[w.next] = cl.seq;
     w.next = (w.next + 1) % window_frames_;
     if (w.filled < window_frames_) ++w.filled;
     if (w.filled == window_frames_) {
+      sh.job_dead[sh.n_jobs] = 0;
       sh.jobs[sh.n_jobs++] = {cl.stream, cl.stream_id, cl.stream->model,
-                              cl.seq, cl.arrival};
+                              cl.seq, cl.arrival, {}};
     } else {
       clear_stream_fault_streak(cl.stream);
     }
   }
+  if (sh.n_jobs > round_job_start) round_features(sh, round_job_start);
+}
 
-  // Stage 4: gather the windows completed this round into network-input
-  // rows, oldest frame first, and run the shared window tail (dB, then
-  // min-max over the whole [T, R, A] block) on each.
-  MMHAR_CHECK(sh.net_input.size() >= sh.n_jobs * wlen);
-  float* const net_input = sh.net_input.data();
-  for (std::size_t j = round_job_start; j < sh.n_jobs; ++j) {
-    const WindowTable::StreamWindow& w = windows_->w[sh.jobs[j].stream_id];
-    float* row = net_input + j * wlen;
-    for (std::size_t t = 0; t < window_frames_; ++t) {
-      const std::size_t src = (w.next + t) % window_frames_;
-      std::copy(w.drai.begin() +
-                    static_cast<std::ptrdiff_t>(src * hw),
-                w.drai.begin() + static_cast<std::ptrdiff_t>((src + 1) * hw),
-                row + t * hw);
+// Stage 4 of a round: the CNN features of every window completed this
+// round (jobs [first, n_jobs)), assembled into sh.series as [job][t][F].
+// A frame's network input is (x - lo) / (hi - lo) with (lo, hi) taken
+// over its whole window, so a cached feature row is reused only while the
+// window's key (model, lo bits, hi bits) is unchanged and the row belongs
+// to the frame now in its ring slot; in steady state that leaves one
+// new frame per window. Misses are normalized into the T-frame chunk
+// buffer and run through infer_frame_features one chunk at a time per
+// model. Every feature row depends only on its own frame, so neither the
+// cache nor the chunking changes a bit of any row. The caches are
+// written back only after all of the round's rows are assembled.
+//
+// Containment: an mmhar::Error in the chunked pass degrades the round to
+// one CNN call per job over its whole window (fused_or_each), which
+// sacrifices only a job whose own call throws; a degraded round drops its
+// streams' caches instead of writing them back.
+void StreamingHarService::round_features(Shard& sh, std::size_t first) {
+  const std::size_t hw = stages_.drai_elems();
+  const std::size_t frames = window_frames_;
+  const std::size_t f_dim = feature_dim_;
+  const std::size_t n = sh.n_jobs - first;
+  MMHAR_CHECK(sh.series.size() >= sh.n_jobs * frames * f_dim &&
+              sh.job_dead.size() >= sh.n_jobs &&
+              sh.chunk.size() >= frames * hw &&
+              sh.chunk_feats.size() >= frames * f_dim &&
+              sh.chunk_rows.size() >= frames);
+  float* const series = sh.series.data();
+  float* const chunk = sh.chunk.data();
+  const float* const chunk_feats = sh.chunk_feats.data();
+  std::uint8_t* const dead = sh.job_dead.data();
+  const auto window_of = [this, frames, hw, f_dim](const Shard::Job& job)
+      -> WindowTable::StreamWindow& {
+    WindowTable::StreamWindow& w = windows_->w[job.stream_id];
+    MMHAR_CHECK(w.drai.size() == frames * hw &&
+                w.feats.size() == frames * f_dim && w.next < frames);
+    return w;
+  };
+  const auto key_of = [](const Shard::Job& job) {
+    return FeatureKey{job.model, std::bit_cast<std::uint32_t>(job.range.lo),
+                      std::bit_cast<std::uint32_t>(job.range.hi), true};
+  };
+  for (std::size_t j = first; j < sh.n_jobs; ++j) {
+    const WindowTable::StreamWindow& w = window_of(sh.jobs[j]);
+    sh.jobs[j].range = stages_.window_range(w.drai.data(), frames, w.next);
+  }
+
+  std::size_t computed = 0;
+  std::size_t reused = 0;
+  const auto flush = [&](std::size_t model, std::size_t fill) {
+    har::infer_frame_features(models_.plan(model), sh.scratch, chunk, fill,
+                              sh.chunk_feats.data());
+    for (std::size_t i = 0; i < fill; ++i)
+      std::copy_n(chunk_feats + i * f_dim, f_dim, sh.chunk_rows[i]);
+  };
+  const auto fused = [&] {
+    computed = 0;
+    reused = 0;
+    for (std::size_t m = 0; m < models_.size(); ++m) {
+      std::size_t fill = 0;
+      for (std::size_t j = first; j < sh.n_jobs; ++j) {
+        const Shard::Job& job = sh.jobs[j];
+        if (job.model != m) continue;
+        const WindowTable::StreamWindow& w = window_of(job);
+        const float* const drai = w.drai.data();
+        const float* const feats = w.feats.data();
+        const bool same_key = w.key == key_of(job);
+        for (std::size_t t = 0; t < frames; ++t) {
+          const std::size_t slot = (w.next + t) % frames;
+          float* const row = series + (j * frames + t) * f_dim;
+          if (same_key && w.feat_seq[slot] == w.seq[slot]) {
+            std::copy_n(feats + slot * f_dim, f_dim, row);
+            ++reused;
+            continue;
+          }
+          stages_.normalize(drai + slot * hw, 1, job.range, chunk + fill * hw);
+          sh.chunk_rows[fill++] = row;
+          ++computed;
+          if (fill == frames) {
+            flush(m, fill);
+            fill = 0;
+          }
+        }
+      }
+      if (fill > 0) flush(m, fill);
     }
-    stages_.window_tail(row, window_frames_);
+  };
+  bool degraded = false;
+  const auto single = [&](std::size_t i, std::size_t) {
+    if (!degraded) computed = reused = 0;
+    degraded = true;
+    const Shard::Job& job = sh.jobs[first + i];
+    const WindowTable::StreamWindow& w = window_of(job);
+    const float* const drai = w.drai.data();
+    for (std::size_t t = 0; t < frames; ++t)
+      stages_.normalize(drai + ((w.next + t) % frames) * hw, 1, job.range,
+                        chunk + t * hw);
+    har::infer_frame_features(models_.plan(job.model), sh.scratch, chunk,
+                              frames, series + (first + i) * frames * f_dim);
+    computed += frames;
+  };
+  fused_or_each(/*degraded=*/false, n, dead + first, fused, single,
+                [this, &sh, first](std::size_t i) {
+                  record_stream_fault(sh, sh.jobs[first + i].stream,
+                                      /*quarantine=*/false);
+                });
+  sh.stat_cnn_computed.fetch_add(computed, std::memory_order_relaxed);
+  sh.stat_cnn_reused.fetch_add(reused, std::memory_order_relaxed);
+
+  // Write-back: the rows each window computed, under its key.
+  for (std::size_t j = first; j < sh.n_jobs; ++j) {
+    const Shard::Job& job = sh.jobs[j];
+    WindowTable::StreamWindow& w = window_of(job);
+    if (degraded) {
+      w.key = {};
+      continue;
+    }
+    float* const feats = w.feats.data();
+    const FeatureKey key = key_of(job);
+    const bool same_key = w.key == key;
+    for (std::size_t t = 0; t < frames; ++t) {
+      const std::size_t slot = (w.next + t) % frames;
+      if (same_key && w.feat_seq[slot] == w.seq[slot]) continue;
+      std::copy_n(series + (j * frames + t) * f_dim, f_dim,
+                  feats + slot * f_dim);
+      w.feat_seq[slot] = w.seq[slot];
+    }
+    w.key = key;
   }
 }
 
@@ -771,27 +947,31 @@ void StreamingHarService::clear_stream_fault_streak(Stream* s) {
   }
 }
 
-// Cross-stream micro-batched CNN-LSTM forward over every window that
-// completed this cycle — one infer_forward per model version with jobs.
-// With a single registered model the gather is skipped and the whole
-// cycle goes through one call; either way each output row's arithmetic is
+// Cross-stream micro-batched LSTM + head over the feature series of every
+// window that completed this cycle — one infer_classify_features per model
+// version with jobs. With a single registered model the whole cycle goes
+// through one call; otherwise each model's rows are gathered at the
+// feature-series level. Either way each output row's arithmetic is
 // independent of batch composition, so grouping by model cannot change
-// any stream's logits.
+// any stream's logits, and the result is infer_forward's on the window.
 //
-// Containment: an injected serving.infer_fail (one draw per job row) or
-// an mmhar::Error escaping the fused forward degrades the cycle to
-// per-row batch-1 reruns (fused_or_each) — row arithmetic is
-// batch-composition independent, so every surviving row's logits are
-// bit-identical to the fused result and only the faulty rows are
-// sacrificed (job_dead, StreamStats::errors). Rows whose logits come
-// back non-finite are sacrificed the same way instead of tearing the
-// process down.
+// Containment: an injected serving.infer_fail (one draw per live job row)
+// or an mmhar::Error escaping the fused call degrades the cycle to
+// per-row batch-1 reruns over each row's features (fused_or_each) — row
+// arithmetic is batch-composition independent, so every surviving row's
+// logits are bit-identical to the fused result and only the faulty rows
+// are sacrificed (job_dead, StreamStats::errors). A degraded cycle drops
+// its streams' feature caches, so their next windows recompute every
+// frame. Rows whose logits come back non-finite are sacrificed the same
+// way instead of tearing the process down.
 void StreamingHarService::run_inference(Shard& sh) {
-  const std::size_t wlen = window_frames_ * stages_.drai_elems();
+  const std::size_t series_len = window_frames_ * feature_dim_;
   MMHAR_CHECK(sh.logits.size() >= sh.n_jobs * num_classes_);
-  MMHAR_CHECK(sh.job_dead.size() >= sh.n_jobs);
+  MMHAR_CHECK(sh.job_dead.size() >= sh.n_jobs &&
+              sh.series.size() >= sh.n_jobs * series_len);
   std::uint8_t* const dead = sh.job_dead.data();
-  std::fill_n(dead, sh.n_jobs, std::uint8_t{0});
+  const float* const series = sh.series.data();
+  float* const logits = sh.logits.data();
   const auto fault = [this, &sh](std::size_t j) {
     record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);
   };
@@ -799,6 +979,7 @@ void StreamingHarService::run_inference(Shard& sh) {
   bool degraded = false;
   if (fault_injection_armed()) {
     for (std::size_t j = 0; j < sh.n_jobs; ++j) {
+      if (dead[j] != 0) continue;
       // Armed-only cold path (see quarantine_claims).
       // mmhar-rtcheck: allow(calls)
       if (fault_should_fire("serving.infer_fail")) {
@@ -811,41 +992,42 @@ void StreamingHarService::run_inference(Shard& sh) {
 
   const auto fused = [&] {
     if (models_.size() == 1) {
-      har::infer_forward(models_.plan(0), sh.scratch, sh.net_input.data(),
-                         sh.n_jobs, sh.logits.data());
+      har::infer_classify_features(models_.plan(0), sh.scratch, series,
+                                   sh.n_jobs, logits);
       return;
     }
+    MMHAR_CHECK(sh.model_series.size() >= sh.n_jobs * series_len &&
+                sh.model_logits.size() >= sh.n_jobs * num_classes_);
+    float* const model_series = sh.model_series.data();
+    const float* const model_logits = sh.model_logits.data();
     for (std::size_t m = 0; m < models_.size(); ++m) {
       std::size_t rows = 0;
       for (std::size_t j = 0; j < sh.n_jobs; ++j) {
         if (sh.jobs[j].model != m) continue;
         sh.model_rows[rows] = j;
-        std::copy(
-            sh.net_input.begin() + static_cast<std::ptrdiff_t>(j * wlen),
-            sh.net_input.begin() + static_cast<std::ptrdiff_t>((j + 1) * wlen),
-            sh.model_input.begin() + static_cast<std::ptrdiff_t>(rows * wlen));
+        std::copy_n(series + j * series_len, series_len,
+                    model_series + rows * series_len);
         ++rows;
       }
       if (rows == 0) continue;
-      har::infer_forward(models_.plan(m), sh.scratch, sh.model_input.data(),
-                         rows, sh.model_logits.data());
+      har::infer_classify_features(models_.plan(m), sh.scratch, model_series,
+                                   rows, sh.model_logits.data());
       for (std::size_t r = 0; r < rows; ++r)
-        std::copy(sh.model_logits.begin() +
-                      static_cast<std::ptrdiff_t>(r * num_classes_),
-                  sh.model_logits.begin() +
-                      static_cast<std::ptrdiff_t>((r + 1) * num_classes_),
-                  sh.logits.begin() + static_cast<std::ptrdiff_t>(
-                                          sh.model_rows[r] * num_classes_));
+        std::copy_n(model_logits + r * num_classes_, num_classes_,
+                    logits + sh.model_rows[r] * num_classes_);
     }
   };
+  bool fell_back = false;
   const auto single = [&](std::size_t j, std::size_t) {
-    MMHAR_CHECK((j + 1) * wlen <= sh.net_input.size() &&
-                (j + 1) * num_classes_ <= sh.logits.size());
-    har::infer_forward(models_.plan(sh.jobs[j].model), sh.scratch,
-                       sh.net_input.data() + j * wlen, 1,
-                       sh.logits.data() + j * num_classes_);
+    fell_back = true;
+    har::infer_classify_features(models_.plan(sh.jobs[j].model), sh.scratch,
+                                 series + j * series_len, 1,
+                                 logits + j * num_classes_);
   };
   fused_or_each(degraded, sh.n_jobs, dead, fused, single, fault);
+  if (fell_back)
+    for (std::size_t j = 0; j < sh.n_jobs; ++j)
+      windows_->w[sh.jobs[j].stream_id].key = {};
 
   // Post-forward tripwire (what used to be a fatal whole-batch
   // check_finite): per-row, non-throwing, attributed per stream.
@@ -995,7 +1177,9 @@ std::size_t StreamingHarService::run_cycle() {
 //    ever leaked by an injected crash).
 //  * serving.shard_stall parks the worker on its condvar — a model of a
 //    wedged thread at a cancellation point — until a restart or stop()
-//    releases it.
+//    releases it. The worker publishes the park (Sched::parked) and the
+//    start of each wake-up (busy_since_ns) for the watchdog; neither is
+//    read by the cycle itself.
 //  * The condvar wait is timed (kIdlePoll) and a long streak of
 //    zero-consume cycles clamps a positive pending count back to zero:
 //    together they self-heal both directions of a pending count left
@@ -1014,14 +1198,17 @@ void StreamingHarService::shard_main(std::size_t shard) {
       if (sh.sched.stop) return;
     }
     sh.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    sh.busy_since_ns.store(steady_ns(), std::memory_order_relaxed);
     try {
       if (fault_injection_armed()) {
         if (fault_should_fire("serving.shard_crash"))
           throw Error("fault injection: serving.shard_crash");
         if (fault_should_fire("serving.shard_stall")) {
-          sh.stalled.store(true, std::memory_order_relaxed);
+          sh.busy_since_ns.store(0, std::memory_order_relaxed);
           MutexLock lk(sh.sched.mu);
+          sh.sched.parked = true;
           while (!sh.sched.stop) sh.sched.cv.wait(sh.sched.mu);
+          sh.sched.parked = false;
           return;
         }
       }
@@ -1041,57 +1228,55 @@ void StreamingHarService::shard_main(std::size_t shard) {
     } catch (...) {
       // Satellite hazard fix: nothing crosses the thread boundary. The
       // shard parks; its streams' queued frames wait for the restart.
+      sh.busy_since_ns.store(0, std::memory_order_relaxed);
       sh.stat_faults.fetch_add(1, std::memory_order_relaxed);
       sh.crashed.store(true, std::memory_order_release);
       return;
     }
+    sh.busy_since_ns.store(0, std::memory_order_relaxed);
   }
 }
 
 // ---- Supervision (watchdog control plane) ----------------------------------
 
-// One watchdog pass over one shard. `last_heartbeat`/`strikes` are the
-// caller's per-shard memory between passes: a crashed worker restarts
-// immediately; a heartbeat frozen across kStallStrikes passes while work
-// is pending is declared stalled and restarted. A worker busy inside a
-// long cycle keeps its heartbeat frozen too — the restart protocol just
-// joins it after the cycle finishes, so a false positive costs a restart,
-// never lost work.
-void StreamingHarService::supervise_shard(std::size_t shard,
-                                          std::uint64_t* last_heartbeat,
-                                          int* strikes) {
+// One watchdog pass over one shard: a crashed worker restarts at once; a
+// worker parked with work pending, or one whose current wake-up has run
+// longer than kCycleBudget, is declared stalled and restarted. Both tests
+// read the worker's own published state, never the watchdog's cadence, so
+// a pass delayed by a loaded host cannot turn a healthy long cycle into a
+// stall. A false positive would cost a restart (the protocol joins the
+// worker after its cycle), never lost work.
+void StreamingHarService::supervise_shard(std::size_t shard) {
   Shard& sh = *shards_[shard];
   if (sh.crashed.load(std::memory_order_acquire)) {
     restart_shard(shard);
-    *strikes = 0;
-    *last_heartbeat = sh.heartbeat.load(std::memory_order_relaxed);
     return;
   }
-  const std::uint64_t hb = sh.heartbeat.load(std::memory_order_relaxed);
-  std::int64_t pending = 0;
+  bool parked_with_work = false;
   {
     MutexLock lk(sh.sched.mu);
-    pending = sh.sched.pending;
+    parked_with_work = sh.sched.parked && sh.sched.pending > 0;
   }
-  if (hb == *last_heartbeat && pending > 0) {
-    if (++*strikes >= kStallStrikes) {
-      sh.stalled.store(true, std::memory_order_relaxed);
-      restart_shard(shard);
-      *strikes = 0;
-    }
+  const std::int64_t since = sh.busy_since_ns.load(std::memory_order_relaxed);
+  const bool overran =
+      since != 0 &&
+      steady_ns() - since >
+          std::chrono::nanoseconds(kCycleBudget).count();
+  if (parked_with_work || overran) {
+    sh.stalled.store(true, std::memory_order_relaxed);
+    restart_shard(shard);
   } else {
-    *strikes = 0;
     sh.stalled.store(false, std::memory_order_relaxed);
   }
-  *last_heartbeat = sh.heartbeat.load(std::memory_order_relaxed);
 }
 
 // Restart protocol: stop + join the (possibly already-returned) worker,
 // reset the shard's cycle arenas — per-stream state (frame rings, result
-// rings, DRAI windows) belongs to the streams and survives untouched —
-// and respawn. Only ever called from the watchdog thread, which stop()
-// joins before touching any worker, so the std::thread object has exactly
-// one owner at a time.
+// rings, DRAI windows and their feature rows) belongs to the streams and
+// survives; only the feature keys of the shard's streams are dropped, so
+// nothing a dying cycle left behind is reused — and respawn. Only ever
+// called from the watchdog thread, which stop() joins before touching
+// any worker, so the std::thread object has exactly one owner at a time.
 void StreamingHarService::restart_shard(std::size_t shard) {
   Shard& sh = *shards_[shard];
   {
@@ -1100,6 +1285,12 @@ void StreamingHarService::restart_shard(std::size_t shard) {
     sh.sched.cv.notify_all();
   }
   if (sh.worker.joinable()) sh.worker.join();
+  {
+    MutexLock lk(registry_->mu);
+    for (std::size_t i = 0; i < registry_->streams.size(); ++i)
+      if (registry_->streams[i]->shard == shard) windows_->w[i].key = {};
+  }
+  sh.busy_since_ns.store(0, std::memory_order_relaxed);
   sh.n_jobs = 0;
   sh.n_cycle_streams = 0;
   sh.rr = 0;
@@ -1115,10 +1306,6 @@ void StreamingHarService::restart_shard(std::size_t shard) {
 
 void StreamingHarService::watchdog_main() {
   const std::chrono::milliseconds period(config_.watchdog_ms);
-  // Cold control plane: these two vectors are the watchdog's entire
-  // working set, allocated once before the first pass.
-  std::vector<std::uint64_t> last(shards_.size(), 0);
-  std::vector<int> strikes(shards_.size(), 0);
   for (;;) {
     {
       MutexLock lk(watchdog_->mu);
@@ -1126,8 +1313,7 @@ void StreamingHarService::watchdog_main() {
       watchdog_->cv.wait_for(watchdog_->mu, period);
       if (watchdog_->stop) return;
     }
-    for (std::size_t i = 0; i < shards_.size(); ++i)
-      supervise_shard(i, &last[i], &strikes[i]);
+    for (std::size_t i = 0; i < shards_.size(); ++i) supervise_shard(i);
   }
 }
 

@@ -23,11 +23,22 @@
 //                                                    (one angle_stage call)
 //                                                         │
 //                                                    per-stream sliding window
-//                                                    (T raw DRAI frames,
-//                                                     window_tail on gather)
+//                                                    (T dB'd DRAI frames +
+//                                                     a CNN feature row per
+//                                                     slot, keyed by model
+//                                                     and the window's
+//                                                     lo/hi bits)
+//                                                         │
+//                                                    per-frame CNN on cache
+//                                                    misses only (newest
+//                                                    frame, or all T after a
+//                                                    range change), T-frame
+//                                                    chunks per model
 //                                                         │
 //                                                    per-model micro-batched
-//                                                    CNN-LSTM (prepacked-GEMM
+//                                                    LSTM + head over the
+//                                                    [jobs, T, F] series
+//                                                    (prepacked-GEMM
 //                                                    InferencePlan from the
 //                                                    ModelRegistry)
 //                                                         │
@@ -51,12 +62,24 @@
 // and the overflow shows up in StreamStats::deadline_dropped instead of
 // in a collapsing tail. slo_ms = 0 (default) preserves pure FIFO.
 //
+// Feature reuse: a frame's network input is (x - lo) / (hi - lo) with
+// (lo, hi) the min and max over its whole window, so while a stream's
+// window range is unchanged its older frames feed the CNN exactly what
+// they fed it one window earlier. Each stream keeps the CNN feature row
+// of every window slot beside its DRAI ring, keyed by (model, lo bits,
+// hi bits); only cache misses run through har::infer_frame_features, in
+// chunks of at most T frames. Every feature row depends only on its own
+// frame, so the logits stay bitwise equal to infer_forward on the
+// normalized window. ShardStats::cnn_frames_computed / _reused count
+// the split.
+//
 // Multi-model: the service owns a ModelRegistry; each stream is keyed to
 // one registered model version at add_stream time (clean vs backdoored
-// A/B over live streams is the intended experiment). A shard cycle
-// micro-batches each model's completed windows through that model's
-// prepacked-GEMM plan; with a single registered model the gather
-// degenerates to the one-big-batch fast path.
+// A/B over live streams is the intended experiment). A shard cycle runs
+// each model's missed frames through that model's CNN and micro-batches
+// each model's feature series through its LSTM + head; with a single
+// registered model the gather degenerates to the one-big-batch fast
+// path.
 //
 // Ownership boundaries: the ModelRegistry, window geometry, and packed
 // weights are immutable once serving starts; all per-cycle working state
@@ -82,15 +105,18 @@
 //     row is sacrificed (counted in StreamStats::errors); per-lane FFT
 //     and per-row GEMM arithmetic is batch-composition independent, so
 //     every surviving stream's logits stay bit-identical to a fault-free
-//     run. A stream exceeding max_stream_faults consecutive faults is
-//     suspended: its backlog is shed (suspended_dropped) and only one
-//     recovery-probe frame per cycle is processed until a frame succeeds.
+//     run. A degraded inference pass drops the feature caches of the
+//     streams it touched. A stream exceeding max_stream_faults
+//     consecutive faults is suspended: its backlog is shed
+//     (suspended_dropped) and only one recovery-probe frame per cycle is
+//     processed until a frame succeeds.
 //   * Supervision — shard_main lets no exception escape (a crash marks
-//     the shard and parks it); when watchdog_ms > 0 a watchdog thread
-//     compares per-shard heartbeat epochs against pending work, restarts
-//     crashed or stalled workers with an arena reset while the other
-//     shards keep serving, and the whole story is snapshotted by
-//     health(). Fault-injection sites serving.frame_poison /
+//     the shard and parks it) and publishes when its current wake-up
+//     began; when watchdog_ms > 0 a watchdog thread restarts crashed
+//     workers, workers parked with work pending, and workers whose
+//     wake-up overran a fixed wall-time budget, with an arena reset
+//     while the other shards keep serving, and the whole story is
+//     snapshotted by health(). Fault-injection sites serving.frame_poison /
 //     serving.infer_fail / serving.shard_stall / serving.shard_crash
 //     (common/fault_injection.h) drive every one of these paths
 //     deterministically in tests; disarmed, they cost one relaxed atomic
@@ -146,9 +172,10 @@ struct ServingConfig {
 
   /// Shard-supervision watchdog cadence in milliseconds; 0 (default)
   /// disables supervision entirely (no watchdog thread). When enabled,
-  /// a worker whose heartbeat freezes while work is pending, or that
-  /// died containing an escaped exception, is restarted with its cycle
-  /// arenas reset while the other shards keep serving.
+  /// a worker parked while work is pending, one whose wake-up has run
+  /// past a fixed 2 s budget, or one that died containing an escaped
+  /// exception, is restarted with its cycle arenas reset while the other
+  /// shards keep serving.
   long watchdog_ms = 0;
 
   // Radar frame geometry every stream must honor.
@@ -199,14 +226,21 @@ struct ShardStats {
   std::uint64_t frames = 0;            ///< frames claimed and processed
   std::uint64_t classifications = 0;   ///< results published
   std::uint64_t deadline_dropped = 0;  ///< deadline drops (claim + publish)
+  /// Frames run through the per-frame CNN (cache misses: every frame of
+  /// a window whose min-max range changed, else only its newest frame).
+  std::uint64_t cnn_frames_computed = 0;
+  /// Window frames whose cached CNN feature row was reused instead.
+  /// computed + reused = T x windows that reached the CNN stage.
+  std::uint64_t cnn_frames_reused = 0;
 };
 
 /// Supervision snapshot for one shard (see ServiceHealth).
 struct ShardHealth {
   bool crashed = false;       ///< worker died containing an exception and
                               ///< awaits a watchdog restart
-  bool stalled = false;       ///< watchdog saw a frozen heartbeat with
-                              ///< work pending (cleared on progress)
+  bool stalled = false;       ///< watchdog saw the worker parked with work
+                              ///< pending or one wake-up overrun its
+                              ///< time budget (cleared on progress)
   std::uint64_t heartbeat = 0;  ///< wake-up epochs of the worker loop
   std::uint64_t restarts = 0;   ///< supervised worker restarts
   std::uint64_t faults = 0;     ///< contained faults observed by this shard
@@ -314,19 +348,21 @@ class StreamingHarService {
   void clear_stream_fault_streak(Stream* s) MMHAR_REALTIME_HANDOFF;
   void process_round(Shard& sh, std::size_t n_claims) MMHAR_REALTIME_HANDOFF
       MMHAR_DETERMINISTIC;
+  void round_features(Shard& sh, std::size_t first) MMHAR_REALTIME_HANDOFF
+      MMHAR_DETERMINISTIC;
   void run_inference(Shard& sh) MMHAR_REALTIME_HANDOFF MMHAR_DETERMINISTIC;
   std::size_t publish_results(Shard& sh,
                               std::size_t* expired) MMHAR_REALTIME_HANDOFF;
 
   // Supervision (cold control plane; none of it runs on the hot path).
   void watchdog_main();
-  void supervise_shard(std::size_t shard, std::uint64_t* last_heartbeat,
-                       int* strikes);
+  void supervise_shard(std::size_t shard);
   void restart_shard(std::size_t shard);
 
   ServingConfig config_;
   dsp::DraiStages stages_;  ///< the DRAI stages shared with offline DSP
   std::size_t window_frames_ = 0;   ///< T, from the model config
+  std::size_t feature_dim_ = 0;     ///< F, per-frame CNN features
   std::size_t num_classes_ = 0;
   bool deadline_enabled_ = false;
   std::chrono::steady_clock::duration deadline_budget_{};

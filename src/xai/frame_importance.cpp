@@ -14,24 +14,28 @@ FrameImportance::FrameImportance(har::HarModel& model, ShapConfig config)
 std::vector<double> FrameImportance::shap_values(const Tensor& sample,
                                                  std::size_t target_class) {
   const auto& mc = model_.config();
-  MMHAR_REQUIRE(sample.rank() == 3 && sample.dim(0) == mc.frames,
+  MMHAR_REQUIRE(sample.rank() == 3 && sample.dim(0) == mc.frames &&
+                    sample.dim(1) == mc.height && sample.dim(2) == mc.width,
                 "sample must be [T, H, W]");
   MMHAR_REQUIRE(target_class < mc.num_classes, "target class out of range");
   const std::size_t frames = mc.frames;
   const std::size_t feat = mc.feature_dim;
 
   // Extract per-frame CNN features once; coalitions only re-run the LSTM.
-  const Tensor features = model_.frame_features(sample);  // [T, F]
+  // Both halves run on one inference plan (bit-identical per row to
+  // HarModel::frame_features and HarModel::classify_features).
+  const har::InferencePlan plan = har::build_inference_plan(model_);
+  har::InferenceScratch scratch;
+  Tensor features({frames, feat});
+  har::infer_frame_features(plan, scratch, sample.data(), frames,
+                            features.data());
 
   Tensor baseline({feat});
   if (config_.baseline == ShapBaseline::MeanFrame)
     baseline = mean_rows(features);
 
   // Each antithetic pair's coalitions run as one batch through the
-  // inference LSTM + head (bit-identical per row to
-  // HarModel::classify_features), so scratch stays bounded by one pair.
-  const har::InferencePlan plan = har::build_inference_plan(model_);
-  har::InferenceScratch scratch;
+  // inference LSTM + head, so scratch stays bounded by one pair.
   std::vector<float> series;
   Tensor logits;
   const BatchValueFunction value = [&](std::span<const std::uint8_t> masks,

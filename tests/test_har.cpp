@@ -2,6 +2,7 @@
 // determinism, dataset construction/caching, trainer, and metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 
@@ -121,6 +122,46 @@ TEST(InferencePlan, ClassifyFeaturesMatchesHarModel) {
                 0)
           << "row " << b;
     }
+  }
+}
+
+// SHAP, the Eq.-2 scorer and the serving feature cache run the per-frame
+// CNN through infer_frame_features: every row must carry the bits
+// HarModel::frame_features gives it, for any frame count and any split
+// of the frames into calls.
+TEST(Infer, FrameFeaturesMatchTrainingForward) {
+  HarModelConfig mc;
+  mc.conv1_channels = 6;
+  mc.conv2_channels = 12;
+  mc.feature_dim = 48;
+  HarModel model(mc);
+  const InferencePlan plan = build_inference_plan(model);
+  InferenceScratch scratch;
+  Rng rng(37);
+  const std::size_t hw = mc.height * mc.width;
+  for (const std::size_t n : {1u, 7u, 32u, 64u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const Tensor frames =
+        Tensor::rand_uniform({n, mc.height, mc.width}, rng, 0.0F, 1.0F);
+    std::vector<float> got(n * mc.feature_dim);
+    infer_frame_features(plan, scratch, frames.data(), n, got.data());
+    const Tensor want = model.frame_features(frames);
+    ASSERT_EQ(want.size(), got.size());
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), got.size() * sizeof(float)),
+              0);
+
+    // The same frames in uneven chunks (1, 6, 25, ... frames per call).
+    std::vector<float> chunked(got.size());
+    std::size_t done = 0;
+    for (std::size_t k = 1; done < n; k = k * 5 + 1) {
+      const std::size_t take = std::min(k, n - done);
+      infer_frame_features(plan, scratch, frames.data() + done * hw, take,
+                           chunked.data() + done * mc.feature_dim);
+      done += take;
+    }
+    EXPECT_EQ(
+        std::memcmp(chunked.data(), got.data(), got.size() * sizeof(float)),
+        0);
   }
 }
 

@@ -4,6 +4,7 @@
 // inter-chirp rotation) so the expected peak bins are exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -337,6 +338,49 @@ TEST(DraiStages, WindowTailIsToDbThenNormalize01) {
   std::vector<float> flat(32 * 32, 3.0F);
   DraiStages(4, 8, 64, cfg).window_tail(flat.data(), 1);
   for (const float v : flat) EXPECT_EQ(v, 0.0F);
+}
+
+// The serving cycle finds a window's range over its ring, oldest frame
+// first; the result must carry the bits std::min_element / max_element
+// give over the unrolled window, down to which of -0.0 and +0.0 is the
+// first minimum (they compare equal, yet x - lo differs for x = -0.0).
+TEST(DraiStages, WindowRangeScansTheRingOldestFirst) {
+  auto cfg = test_config();
+  cfg.range_bins = 4;
+  cfg.angle_bins = 8;
+  cfg.normalize = true;
+  const DraiStages stages(4, 8, 64, cfg);
+  const std::size_t hw = stages.drai_elems();
+  const std::size_t frames = 4;
+  Rng rng(47);
+  std::vector<float> ring(frames * hw);
+  for (float& v : ring) v = static_cast<float>(rng.uniform(0.5, 2.0));
+  ring[1 * hw + 3] = 0.0F;   // +0.0 in ring slot 1
+  ring[3 * hw + 5] = -0.0F;  // -0.0 in ring slot 3
+  ring[2 * hw + 7] = 9.0F;   // the maximum, twice
+  ring[0 * hw + 1] = 9.0F;
+  for (std::size_t oldest = 0; oldest < frames; ++oldest) {
+    std::vector<float> unrolled;
+    for (std::size_t k = 0; k < frames; ++k) {
+      const float* f = ring.data() + ((oldest + k) % frames) * hw;
+      unrolled.insert(unrolled.end(), f, f + hw);
+    }
+    const DraiRange r = stages.window_range(ring.data(), frames, oldest);
+    const float lo = *std::min_element(unrolled.begin(), unrolled.end());
+    const float hi = *std::max_element(unrolled.begin(), unrolled.end());
+    EXPECT_EQ(std::signbit(r.lo), std::signbit(lo)) << "oldest " << oldest;
+    EXPECT_EQ(r.lo, lo);
+    EXPECT_EQ(r.hi, hi);
+
+    // Normalizing frame by frame with that range is the window tail.
+    std::vector<float> by_frame(unrolled.size());
+    for (std::size_t k = 0; k < frames; ++k)
+      stages.normalize(unrolled.data() + k * hw, 1, r,
+                       by_frame.data() + k * hw);
+    stages.window_tail(unrolled.data(), frames);
+    EXPECT_EQ(0, std::memcmp(by_frame.data(), unrolled.data(),
+                             unrolled.size() * sizeof(float)));
+  }
 }
 
 // ---- Bit-identity across thread counts -------------------------------------

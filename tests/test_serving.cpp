@@ -3,7 +3,9 @@
 // steady-state zero-allocation, and backpressure accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -13,6 +15,7 @@
 #include "common/alloc_count.h"
 #include "common/rng.h"
 #include "dsp/heatmap.h"
+#include "har/infer.h"
 #include "har/model.h"
 #include "serving/affinity.h"
 #include "serving/serving.h"
@@ -84,6 +87,35 @@ std::vector<Classification> run_sequence(StreamingHarService& svc,
   return out;
 }
 
+// CNN frames computed and reused, summed over the service's shards.
+struct CnnCounts {
+  std::uint64_t computed = 0;
+  std::uint64_t reused = 0;
+};
+CnnCounts cnn_counts(const StreamingHarService& svc) {
+  CnnCounts c;
+  for (std::size_t i = 0; i < svc.config().num_shards; ++i) {
+    const ShardStats st = svc.shard_stats(i);
+    c.computed += st.cnn_frames_computed;
+    c.reused += st.cnn_frames_reused;
+  }
+  return c;
+}
+
+// The steady phase of the allocation tests must cover both kinds of
+// window: ones whose range changed (all T frames through the CNN) and
+// ones that reused cached features.
+void expect_range_changes_and_reuse(const CnnCounts& before,
+                                    const CnnCounts& after,
+                                    std::size_t windows, std::size_t frames) {
+  const std::uint64_t computed = after.computed - before.computed;
+  const std::uint64_t reused = after.reused - before.reused;
+  EXPECT_EQ(computed + reused, windows * frames);
+  EXPECT_GE(computed, windows + 2 * (frames - 1))
+      << "fewer than two windows with a changed range";
+  EXPECT_GT(reused, 0U) << "no window reused cached features";
+}
+
 void expect_bit_identical(const std::vector<Classification>& a,
                           const std::vector<Classification>& b,
                           std::size_t num_classes) {
@@ -135,6 +167,90 @@ TEST(Serving, MatchesOfflinePipeline) {
     EXPECT_EQ(0, std::memcmp(results[k].logits, logits.flat().data(),
                              mc.num_classes * sizeof(float)))
         << "logits differ bitwise at window " << k;
+  }
+}
+
+// The per-frame feature cache: a window whose min-max range is unchanged
+// runs only its newest frame through the CNN, any other window all T, and
+// every logit stays bitwise equal to the offline compute_drai_sequence +
+// infer_forward pipeline. The sequence carries a x8 frame (a new max
+// that leaves again T frames later) and a x1/8 frame (a new min), so both
+// range changes and long unchanged stretches occur; the expected counts
+// come from the offline window's own min and max bits.
+TEST(Serving, FeatureReuseMatchesOfflineBitwise) {
+  const har::HarModelConfig mc = test_model_config();
+  har::HarModel model(mc);
+  const har::InferencePlan plan = har::build_inference_plan(model);
+  har::InferenceScratch scratch;
+  const std::size_t total = 2 * mc.frames + 6;
+  std::vector<dsp::RadarCube> frames = random_frames(total, 41);
+  for (dsp::cfloat& v : frames[3].raw()) v *= 8.0F;
+  for (dsp::cfloat& v : frames[4].raw()) v *= 0.125F;
+
+  for (const bool log_scale : {false, true}) {
+    SCOPED_TRACE(log_scale ? "log_scale on" : "log_scale off");
+    ServingConfig cfg = test_serving_config();
+    cfg.heatmap.log_scale = log_scale;
+    dsp::HeatmapConfig raw_cfg = cfg.heatmap;
+    raw_cfg.normalize = false;
+    StreamingHarService svc(cfg, model);
+    const std::size_t sid = svc.add_stream();
+
+    std::array<Classification, 8> buf;
+    std::uint32_t prev_lo = 0;
+    std::uint32_t prev_hi = 0;
+    std::size_t windows = 0;
+    std::size_t changes = 0;
+    std::size_t reuses = 0;
+    for (std::size_t i = 0; i < total; ++i) {
+      const ShardStats before = svc.shard_stats(0);
+      ASSERT_TRUE(svc.submit_frame(sid, frames[i]));
+      svc.run_cycle();
+      const ShardStats after = svc.shard_stats(0);
+      const std::size_t n = svc.poll(sid, std::span<Classification>(buf));
+      const std::uint64_t computed =
+          after.cnn_frames_computed - before.cnn_frames_computed;
+      const std::uint64_t reused =
+          after.cnn_frames_reused - before.cnn_frames_reused;
+      if (i + 1 < mc.frames) {
+        EXPECT_EQ(n, 0U);
+        EXPECT_EQ(computed + reused, 0U);
+        continue;
+      }
+      ASSERT_EQ(n, 1U) << "frame " << i;
+      const std::vector<dsp::RadarCube> window(
+          frames.begin() + static_cast<std::ptrdiff_t>(i + 1 - mc.frames),
+          frames.begin() + static_cast<std::ptrdiff_t>(i + 1));
+
+      // Offline logits over the same window.
+      const Tensor seq = dsp::compute_drai_sequence(window, cfg.heatmap);
+      std::vector<float> logits(mc.num_classes);
+      har::infer_forward(plan, scratch, seq.data(), 1, logits.data());
+      EXPECT_EQ(0, std::memcmp(buf[0].logits, logits.data(),
+                               mc.num_classes * sizeof(float)))
+          << "logits differ bitwise at window ending " << i;
+
+      // The window's range from the offline DSP: a change (or the first
+      // window) recomputes all T frames, otherwise one.
+      const Tensor raw = dsp::compute_drai_sequence(window, raw_cfg);
+      const std::uint32_t lo = std::bit_cast<std::uint32_t>(
+          *std::min_element(raw.data(), raw.data() + raw.size()));
+      const std::uint32_t hi = std::bit_cast<std::uint32_t>(
+          *std::max_element(raw.data(), raw.data() + raw.size()));
+      const bool changed = windows == 0 || lo != prev_lo || hi != prev_hi;
+      EXPECT_EQ(computed, changed ? mc.frames : 1U) << "window ending " << i;
+      EXPECT_EQ(reused, changed ? 0U : mc.frames - 1) << "window ending " << i;
+      changes += changed && windows > 0 ? 1 : 0;
+      reuses += changed ? 0 : 1;
+      prev_lo = lo;
+      prev_hi = hi;
+      ++windows;
+    }
+    EXPECT_EQ(windows, total - mc.frames + 1);
+    // The x8 frame leaves and the x1/8 frame leaves: at least two range
+    // changes after the first window, and unchanged windows in between.
+    EXPECT_GE(changes, 2U);
+    EXPECT_GE(reuses, mc.frames / 2);
   }
 }
 
@@ -227,6 +343,9 @@ TEST(Serving, SteadyStateIsAllocationFree) {
   std::vector<std::vector<dsp::RadarCube>> frames;
   for (std::size_t s = 0; s < cfg.max_streams; ++s)
     frames.push_back(random_frames(warm + steady, 400 + s));
+  // A new maximum enters stream 0's window mid-steady-state and leaves it
+  // T frames later: two range changes inside the measured cycles.
+  for (dsp::cfloat& v : frames[0][warm + 2].raw()) v *= 8.0F;
 
   std::array<Classification, 8> buf;
   for (std::size_t i = 0; i < warm; ++i) {
@@ -239,7 +358,9 @@ TEST(Serving, SteadyStateIsAllocationFree) {
   ASSERT_GT(svc.stream_stats(sids[0]).classifications, 0u);
 
   // Steady state: the whole submit -> DSP -> inference -> poll path must
-  // not touch the heap at all.
+  // not touch the heap at all, whether a window reuses cached features
+  // or recomputes them after a range change.
+  const CnnCounts cnn_before = cnn_counts(svc);
   const std::uint64_t before = alloc_count();
   for (std::size_t i = warm; i < warm + steady; ++i) {
     for (std::size_t s = 0; s < cfg.max_streams; ++s)
@@ -250,6 +371,8 @@ TEST(Serving, SteadyStateIsAllocationFree) {
   }
   EXPECT_EQ(alloc_count() - before, 0u)
       << "steady-state serving path allocated";
+  expect_range_changes_and_reuse(cnn_before, cnn_counts(svc),
+                                 steady * cfg.max_streams, mc.frames);
 }
 
 TEST(Serving, OldestDropPolicyAccounting) {
@@ -665,6 +788,9 @@ TEST(Serving, SteadyStateIsAllocationFreeShardedMultiModel) {
   std::vector<std::vector<dsp::RadarCube>> frames;
   for (std::size_t s = 0; s < cfg.max_streams; ++s)
     frames.push_back(random_frames(warm + steady, 600 + s));
+  // Range changes inside the measured cycles, on both models' streams.
+  for (dsp::cfloat& v : frames[0][warm + 2].raw()) v *= 8.0F;
+  for (dsp::cfloat& v : frames[1][warm + 3].raw()) v *= 8.0F;
 
   std::array<Classification, 8> buf;
   for (std::size_t i = 0; i < warm; ++i) {
@@ -677,6 +803,7 @@ TEST(Serving, SteadyStateIsAllocationFreeShardedMultiModel) {
   ASSERT_GT(svc.stream_stats(sids[0]).classifications, 0u);
   ASSERT_GT(svc.stream_stats(sids[1]).classifications, 0u);
 
+  const CnnCounts cnn_before = cnn_counts(svc);
   const std::uint64_t before = alloc_count();
   for (std::size_t i = warm; i < warm + steady; ++i) {
     for (std::size_t s = 0; s < cfg.max_streams; ++s)
@@ -687,6 +814,8 @@ TEST(Serving, SteadyStateIsAllocationFreeShardedMultiModel) {
   }
   EXPECT_EQ(alloc_count() - before, 0u)
       << "sharded multi-model steady-state serving path allocated";
+  expect_range_changes_and_reuse(cnn_before, cnn_counts(svc),
+                                 steady * cfg.max_streams, mc.frames);
 }
 
 TEST(Serving, ShardStatsAccounting) {

@@ -27,6 +27,7 @@
 #include "common/finite_check.h"
 #include "common/rng.h"
 #include "dsp/heatmap.h"
+#include "har/infer.h"
 #include "har/model.h"
 #include "serving/serving.h"
 
@@ -150,6 +151,48 @@ void expect_subset_by_seq(const std::vector<Classification>& got,
     ++gi;
   }
   EXPECT_EQ(gi, got.size());
+}
+
+// Each result must carry, bit for bit, the offline compute_drai_sequence +
+// infer_forward logits of the window of `frames` ending at index ends[k]:
+// whatever a fault did to the service, the feature rows it reuses still
+// give the offline answer.
+void expect_offline(const std::vector<Classification>& got,
+                    har::HarModel& model, const dsp::HeatmapConfig& hm,
+                    const std::vector<dsp::RadarCube>& frames,
+                    const std::vector<std::size_t>& ends) {
+  const har::HarModelConfig& mc = model.config();
+  const har::InferencePlan plan = har::build_inference_plan(model);
+  har::InferenceScratch scratch;
+  ASSERT_EQ(got.size(), ends.size());
+  std::vector<float> logits(mc.num_classes);
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_TRUE(ends[k] + 1 >= mc.frames && ends[k] < frames.size());
+    const std::vector<dsp::RadarCube> window(
+        frames.begin() + static_cast<std::ptrdiff_t>(ends[k] + 1 - mc.frames),
+        frames.begin() + static_cast<std::ptrdiff_t>(ends[k] + 1));
+    const Tensor seq = dsp::compute_drai_sequence(window, hm);
+    har::infer_forward(plan, scratch, seq.data(), 1, logits.data());
+    EXPECT_EQ(0, std::memcmp(got[k].logits, logits.data(),
+                             mc.num_classes * sizeof(float)))
+        << "logits differ from offline at the window ending " << ends[k];
+  }
+}
+
+// Window ends of results that arrive one per frame from `first` on.
+std::vector<std::size_t> consecutive_ends(std::size_t n, std::size_t first) {
+  std::vector<std::size_t> ends(n);
+  for (std::size_t k = 0; k < n; ++k) ends[k] = first + k;
+  return ends;
+}
+
+// Window ends of results whose frame_seq indexes the frame list directly
+// (every submitted frame admitted, none replaced).
+std::vector<std::size_t> seq_ends(const std::vector<Classification>& got) {
+  std::vector<std::size_t> ends;
+  for (const Classification& c : got)
+    ends.push_back(static_cast<std::size_t>(c.frame_seq));
+  return ends;
 }
 
 // Lossless submit against a running service: retry until admitted (used
@@ -290,8 +333,10 @@ TEST_F(ServingFaults, QuarantineIsolatesThePoisonedFrameExactly) {
     as_if_omitted = run_sequence(svc, sid, omitted);
   }
   // Sequence numbers shift by the omitted submit; the classifications
-  // themselves must be bit-identical.
+  // themselves must be bit-identical, and equal to offline.
   expect_bit_identical(victim_got, as_if_omitted, mc.num_classes);
+  expect_offline(victim_got, model, cfg.heatmap, omitted,
+                 consecutive_ends(victim_got.size(), mc.frames - 1));
 
   // Reference B: the clean stream served alone, bit-identical.
   std::vector<Classification> clean_alone;
@@ -301,6 +346,8 @@ TEST_F(ServingFaults, QuarantineIsolatesThePoisonedFrameExactly) {
     clean_alone = run_sequence(svc, sid, clean_frames);
   }
   expect_bit_identical(clean_got, clean_alone, mc.num_classes);
+  expect_offline(clean_got, model, cfg.heatmap, clean_frames,
+                 seq_ends(clean_got));
 }
 
 // The post-range-FFT tripwire sacrifices exactly the overflowing frame:
@@ -380,6 +427,10 @@ TEST_F(ServingFaults, RangeFftOverflowTripsOnlyItsStream) {
   }
   expect_bit_identical(victim_got, victim_alone, mc.num_classes);
   expect_bit_identical(peer_got, peer_alone, mc.num_classes);
+  expect_offline(victim_got, model, cfg.heatmap, victim_frames,
+                 consecutive_ends(victim_got.size(), mc.frames - 1));
+  expect_offline(peer_got, model, cfg.heatmap, peer_frames,
+                 seq_ends(peer_got));
 }
 
 // serving.frame_poison drives the same quarantine path deterministically:
@@ -478,6 +529,8 @@ TEST_F(ServingFaults, InferFailSacrificesOnlyTheFaultyRow) {
 
   expect_subset_by_seq(a_got, a_ref, mc.num_classes, {mc.frames - 1});
   expect_subset_by_seq(b_got, b_ref, mc.num_classes, {});
+  expect_offline(a_got, model, cfg.heatmap, a_frames, seq_ends(a_got));
+  expect_offline(b_got, model, cfg.heatmap, b_frames, seq_ends(b_got));
 }
 
 // max_stream_faults consecutive contained faults suspend the stream; a
@@ -576,6 +629,7 @@ TEST_F(ServingFaults, WatchdogRestartsACrashedShard) {
     reference = run_sequence(svc, sid, frames);
   }
   expect_subset_by_seq(got, reference, mc.num_classes, {});
+  expect_offline(got, model, cfg.heatmap, frames, seq_ends(got));
 }
 
 // A worker wedged at its wake-up point (injected stall) freezes its

@@ -423,6 +423,7 @@ TEST(DetcheckRealTree, RootsFilePinsEveryPaperInvariant) {
   const char* const kRequired[] = {
       "deterministic dsp::compute_drai_sequence",
       "deterministic har::infer_forward",
+      "deterministic har::infer_frame_features",
       "deterministic har::infer_classify_features",
       "deterministic Sequential::forward",
       "deterministic Sequential::backward",
@@ -432,6 +433,7 @@ TEST(DetcheckRealTree, RootsFilePinsEveryPaperInvariant) {
       "deterministic Rng::normals_f32",
       "deterministic har::train_model",
       "deterministic StreamingHarService::process_round",
+      "deterministic StreamingHarService::round_features",
       "deterministic StreamingHarService::run_inference",
   };
   for (const char* row : kRequired)
